@@ -1597,8 +1597,7 @@ let serve_request_sample c req =
 (* Run [rounds] of [mix] from [clients] concurrent connections against
    the daemon at [socket_path]; returns per-kernel samples (merged over
    clients) and the wall-clock of the whole run.  [req_of] lets a kernel
-   vary its request by round (fresh coalescing keys, cache-busting
-   seeds). *)
+   vary its request by round (fresh shared keys, cache-busting seeds). *)
 let serve_drive ~socket_path ~clients ~rounds mix =
   let t0 = Obs.now_ns () in
   let worker () =
@@ -1712,15 +1711,13 @@ let serve_load () =
   Format.printf
     "cold: %d requests over %d client connection(s) in %.2f s — %.0f req/s@."
     cold_total clients cold_wall_s cold_throughput;
-  (* ---- phase B: the throughput plane — two executors, result cache
-     on, a short coalescing window.  serve-plan repeats the same model
-     every round (cache hits from round 2), serve-faultsim changes its
-     seed per round (cache-busting) but all clients share each round's
-     seed, so concurrent duplicates coalesce into pooled batches. *)
+  (* ---- phase B: the throughput plane — two executors, single-flight
+     result cache on.  serve-plan repeats the same model every round
+     (cache hits from round 2), serve-faultsim changes its seed per
+     round (cache-busting) but all clients share each round's seed, so
+     concurrent duplicates join one pooled execution. *)
   let handle =
-    Serve.start
-      (Serve.config ~queue_capacity:64 ~executors:2 ~cache_size:256
-         ~batch_window_ms:20 socket_path)
+    Serve.start (Serve.config ~queue_capacity:64 ~executors:2 ~cache_size:256 socket_path)
   in
   let plane_mix =
     [ ("serve-ping-plane", const (Serve_protocol.request Serve_protocol.Ping));
@@ -1751,7 +1748,7 @@ let serve_load () =
   (* the bound sits above the ~29 req/s the single-executor cold plane
      measures on the reference host: the throughput plane must beat the
      old serial daemon even on a single-core runner, where the win comes
-     from the cache and coalescing rather than parallel executors *)
+     from the single-flight cache rather than parallel executors *)
   Report.add_scalar report ~section:"serve" ~name:"throughput" ~unit_label:"req/s"
     ~bound:(Report.Ge 40.0) plane_throughput;
   (match (List.assoc_opt "serve-plan" cold_p50s, List.assoc_opt "serve-plan-hit" plane_p50s)
@@ -1765,7 +1762,8 @@ let serve_load () =
   | _ -> ());
   (match coalesce_stats with
   | Some (batches, batched, cache_hits) ->
-    Format.printf "coalescing: %.0f batch(es) covering %.0f request(s); %.0f cache hit(s)@."
+    Format.printf
+      "coalescing: %.0f shared execution(s) answering %.0f request(s); %.0f cache hit(s)@."
       batches batched cache_hits;
     Report.add_scalar report ~section:"serve" ~name:"coalesced batches" batches;
     Report.add_scalar report ~section:"serve" ~name:"coalesced requests" batched;
@@ -1773,7 +1771,7 @@ let serve_load () =
   | None -> ());
   Format.printf
     "plane: %d requests over %d client connection(s) in %.2f s — %.0f req/s; latency@.\
-     is client-observed (connect-to-response, queue wait and coalescing window@.\
+     is client-observed (connect-to-response, queue wait and shared execution@.\
      included); mWords/req is process-wide allocation (the daemon is in-process).@."
     plane_total clients plane_wall_s plane_throughput
 

@@ -769,8 +769,7 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path of the daemon.")
 
-let run_serve socket queue_capacity executors cache_size batch_window_ms heavy_cap
-    access_log metrics_out =
+let run_serve socket queue_capacity executors cache_size heavy_cap access_log metrics_out =
   if queue_capacity < 1 then failwith "serve: --queue must be at least 1";
   (match executors with
   | Some k when k < 1 -> failwith "serve: --executors must be at least 1"
@@ -779,11 +778,10 @@ let run_serve socket queue_capacity executors cache_size batch_window_ms heavy_c
   | Some c when c < 1 -> failwith "serve: --heavy-cap must be at least 1"
   | _ -> ());
   if cache_size < 0 then failwith "serve: --cache-size must be at least 0";
-  if batch_window_ms < 0 then failwith "serve: --batch-window-ms must be at least 0";
   set_build_info ();
   let cfg =
-    Serve_server.config ~queue_capacity ?executors ~cache_size ~batch_window_ms
-      ?heavy_cap ?access_log ?metrics_out socket
+    Serve_server.config ~queue_capacity ?executors ~cache_size ?heavy_cap ?access_log
+      ?metrics_out socket
   in
   let server = Serve_server.create cfg in
   let on_signal _ = Serve_server.request_stop server in
@@ -815,17 +813,11 @@ let serve_cmd =
   let cache_size =
     Arg.(value & opt int 256
          & info [ "cache-size" ] ~docv:"N"
-             ~doc:"Synthesis result cache capacity (LRU entries keyed by the \
-                   canonical request identity); $(b,0) disables the cache.  Cached \
-                   replies are byte-identical to cold ones.")
-  in
-  let batch_window =
-    Arg.(value & opt int 0
-         & info [ "batch-window-ms" ] ~docv:"MS"
-             ~doc:"Coalescing window: a claimed faultsim/montecarlo batch stays open \
-                   to identical-model joiners for $(docv) milliseconds before \
-                   executing once for all of them.  $(b,0) coalesces only while a \
-                   batch is still queued.")
+             ~doc:"Finished results kept by the single-flight result cache (LRU \
+                   entries keyed by the canonical request identity).  Duplicates of a \
+                   request still queued or running always join its execution; \
+                   $(b,0) only stops finished results from being kept.  Shared and \
+                   cached replies are byte-identical to cold ones.")
   in
   let heavy_cap =
     Arg.(value & opt (some int) None
@@ -849,12 +841,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the synthesis daemon: plan/measure/faultsim/montecarlo/schedule over \
-             a Unix socket, with multi-executor scheduling, request coalescing, a \
-             synthesis result cache, per-request traces, Prometheus metrics and a \
-             structured access log")
+             a Unix socket, with multi-executor scheduling, a single-flight result \
+             cache, per-request traces, Prometheus metrics and a structured access \
+             log")
     (code0
        Term.(const run_serve $ socket_arg $ queue $ executors $ cache_size
-             $ batch_window $ heavy_cap $ access_log $ metrics_out))
+             $ heavy_cap $ access_log $ metrics_out))
 
 (* ---- client: one request against a running daemon ---- *)
 
@@ -875,7 +867,7 @@ let verb_conv =
 (* Load mode ([--repeat]/[--concurrency] beyond 1): every worker domain
    opens its own connection and sends its [repeat] requests back to
    back, so C workers keep C requests in flight — enough to exercise the
-   daemon's multi-executor scheduling, coalescing and cache from one
+   daemon's multi-executor scheduling and single-flight cache from one
    client process.  Per-request latency is measured client-side
    (request sent -> response parsed) and summarized with the same
    nearest-rank percentiles the bench harness uses. *)

@@ -83,7 +83,8 @@ let request ?(topology = "default") ?(strategy = "adaptive") ?(seed = 0) ?(taps 
 (* The canonical computation identity behind a request: the verb plus
    exactly the fields that verb reads.  Projecting down to the read set
    makes the key total over equivalent requests — a faultsim request with
-   an exotic [soc] field coalesces with one that left it defaulted. *)
+   an exotic [soc] field shares its result with one that left it
+   defaulted. *)
 let cache_key r =
   match r.verb with
   | Plan -> Some (Printf.sprintf "plan|%s|%s" r.topology r.strategy)
@@ -96,9 +97,6 @@ let cache_key r =
   | Schedule ->
     Some (Printf.sprintf "schedule|%s|%d|%d|%d" r.soc r.restarts r.iters r.seed)
   | Metrics | Ping | Sleep -> None
-
-let coalesce_key r =
-  match r.verb with Faultsim | Montecarlo -> cache_key r | _ -> None
 
 let request_to_json r =
   let b = Buffer.create 256 in

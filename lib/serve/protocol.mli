@@ -55,15 +55,10 @@ val cache_key : request -> string option
     plus exactly the fields that verb reads, normalized (two requests
     differing only in fields the verb ignores share a key).  [None] for
     the verbs that read daemon state or wall-clock time
-    (Metrics/Ping/Sleep) — those are never cacheable.  This key indexes
-    the synthesis result cache. *)
-
-val coalesce_key : request -> string option
-(** Like {!cache_key} but only for the heavy sweep verbs worth merging
-    (Faultsim/Montecarlo): concurrent identical-model requests can be
-    served by one pooled execution fanned back to every waiter, because
-    their result is a pure, per-request-deterministic function of the
-    key. *)
+    (Metrics/Ping/Sleep) — those are never shared.  This key indexes the
+    daemon's single-flight result cache: requests with equal keys are
+    answered from one execution, whether it has finished (a cached body)
+    or is still queued or running (the request joins it). *)
 
 val request_to_json : request -> string
 (** One line, no trailing newline. *)

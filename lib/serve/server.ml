@@ -1,8 +1,8 @@
 (* The msoc daemon: a Unix-domain-socket service that executes plan /
    measure / faultsim / montecarlo / schedule requests on the shared
    domain pool, behind a bounded queue with explicit backpressure, a
-   synthesis result cache, a request-coalescing stage and a request
-   observability plane threaded through Msoc_obs.
+   single-flight result cache and a request observability plane
+   threaded through Msoc_obs.
 
    Threading model — one acceptor, K executors, plus the pool:
 
@@ -13,9 +13,8 @@
      are {e cheap}, everything that computes is {e heavy}, and the
      heavy class has its own queued-jobs cap below the queue capacity,
      so a burst of sweeps can never occupy every slot — a cheap probe
-     always finds queue space.  The acceptor also probes the result
-     cache (pure verbs only) and answers hits directly, without
-     touching the queue.
+     always finds queue space.  Compute requests go through the
+     single-flight cache first (below).
    - {e K executors} ([--executors], default = pool size) pop the one
      shared [Workq].  Requests no longer serialize behind a single
      domain: a heavy sweep occupies one executor while cheap requests
@@ -26,14 +25,16 @@
      them.  Finished responses travel back over a mutex-guarded queue;
      a self-pipe byte wakes the select loop; the access-log writer is
      mutex-guarded so lines never interleave.
-   - {e coalescing}: identical-model Monte-Carlo/faultsim requests
-     (same [Protocol.coalesce_key]) merge into one batch.  An admitted
-     batch stays joinable in a pending table until an executor claims
-     it; with [--batch-window-ms] the claiming executor first holds the
-     batch open for the window so concurrent duplicates can attach.
-     The one pooled execution is fanned back to every waiter — the
-     result is a pure, per-request-deterministic function of the key,
-     so each waiter receives bytes identical to a private run.
+   - the {e single-flight cache}: one LRU keyed by
+     [Protocol.cache_key] whose entries are [Pending] (an execution
+     queued or running, with its waiters) or [Ready] (a finished body).
+     The acceptor answers a [Ready] hit inline, attaches a duplicate of
+     a [Pending] execution as one more waiter (no queue slot, no
+     executor, no class cap), and otherwise inserts [Pending] and
+     pushes one job.  The executor turns the entry into [Ready] and
+     fans the one body out to every waiter.  Compute verbs are pure
+     functions of the key, so each waiter receives bytes identical to a
+     private run.
 
    Observability per request: with one executor the sinks are reset at
    dequeue and exports merge every domain (the PR-8 behaviour, pool
@@ -42,12 +43,13 @@
    concurrent requests cannot wipe or pollute each other's span trees.
    Service-level metrics survive the per-request reset in a registry
    owned by the server (counters by verb and status, log2-bucket
-   latency and queue-wait histograms, coalescing counters and batch
-   sizes, gauges) and are appended to [Obs.to_prometheus] output by the
-   [metrics] verb, together with the cache hit/miss/eviction counters
+   latency and queue-wait histograms, shared-execution counters and
+   waiter counts, gauges) and are appended to [Obs.to_prometheus]
+   output by the [metrics] verb, together with the cache hit/miss/eviction counters
    and the work queue's accept/reject accounting. *)
 
 module Pool = Msoc_util.Pool
+module Lru = Msoc_util.Lru
 module Workq = Msoc_util.Workq
 module Obs = Msoc_obs.Obs
 module Json = Msoc_obs.Json
@@ -56,18 +58,17 @@ type config = {
   socket_path : string;
   queue_capacity : int;
   executors : int option;  (* [None] means the pool size *)
-  cache_size : int;        (* 0 disables the result cache *)
-  batch_window_ms : int;   (* 0: coalesce only while queued *)
+  cache_size : int;        (* finished bodies kept; 0 keeps none *)
   heavy_cap : int option;  (* [None] means 3/4 of the queue capacity *)
   access_log : string option;
   metrics_out : string option;
   pool : Pool.t option;  (* [None] means [Pool.get_default ()] *)
 }
 
-let config ?(queue_capacity = 64) ?executors ?(cache_size = 256) ?(batch_window_ms = 0)
-    ?heavy_cap ?access_log ?metrics_out ?pool socket_path =
-  { socket_path; queue_capacity; executors; cache_size; batch_window_ms; heavy_cap;
-    access_log; metrics_out; pool }
+let config ?(queue_capacity = 64) ?executors ?(cache_size = 256) ?heavy_cap ?access_log
+    ?metrics_out ?pool socket_path =
+  { socket_path; queue_capacity; executors; cache_size; heavy_cap; access_log; metrics_out;
+    pool }
 
 (* ------------------------------------------------------------------ *)
 (* Weight classes: admission control keeps the heavy sweeps from       *)
@@ -104,9 +105,9 @@ type metrics = {
   latency : (string, lat_hist) Hashtbl.t;           (* per verb, service time *)
   queue_wait : lat_hist;
   inflight : int Atomic.t;
-  batched : int ref;    (* requests answered from a coalesced execution *)
-  batches : int ref;    (* coalesced executions (>= 2 waiters) *)
-  batch_size : lat_hist;  (* waiters per coalescable execution *)
+  batched : int ref;    (* requests answered from a shared execution *)
+  batches : int ref;    (* shared executions with >= 2 waiters *)
+  batch_size : lat_hist;  (* waiters per shared execution *)
 }
 
 let new_metrics () =
@@ -223,9 +224,7 @@ let prometheus_of_metrics m ~queue_depth ~queue_capacity ~pool_size =
 (* Server state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One admitted client request waiting for a result.  A job starts with
-   its leader as the only waiter; coalescable jobs may accumulate more
-   while pending. *)
+(* One admitted client request waiting for a result. *)
 type waiter = {
   w_conn : int;
   w_trace_id : string;
@@ -234,13 +233,86 @@ type waiter = {
 }
 
 type job = {
-  j_req : Protocol.request;  (* the leader's request *)
-  j_key : string option;     (* [Protocol.coalesce_key]; [Some] = joinable *)
+  j_req : Protocol.request;
+  j_key : string option;  (* [Some]: a shared execution, resolved in the cache *)
   j_class : weight;
-  j_created_ns : int64;
-  mutable j_waiters : waiter list;  (* reverse arrival order; batch_mutex *)
-  mutable j_closed : bool;          (* claimed by an executor *)
+  j_leader : waiter;      (* the request that created the job *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Single-flight result cache                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A [Pending] entry holds the waiters of an execution still queued or
+   running (reverse arrival order); it is pinned, so eviction never
+   drops it.  A [Ready] entry is a finished body, kept only when
+   [retain] ([cache_size] > 0).  [lock] makes lookup-and-insert one
+   step. *)
+type entry = Pending of waiter list ref | Ready of string
+
+type cache = {
+  lock : Mutex.t;
+  lru : entry Lru.t;
+  retain : bool;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+type admission = Hit of string | Waiting | Refused of string
+
+let create_cache ~size =
+  { lock = Mutex.create ();
+    lru =
+      Lru.create_pinned ~capacity:(max 1 size)
+        ~pinned:(function Pending _ -> true | Ready _ -> false);
+    retain = size > 0;
+    hits = 0;
+    misses = 0 }
+
+(* A [Ready] body is a hit; a [Pending] execution gains [w] as a waiter;
+   an absent key calls [lead], which enqueues the job or returns why it
+   cannot, and publishes [Pending] only for an accepted job.  Every
+   request not answered from a finished body counts as a miss. *)
+let cache_admit c key w ~lead =
+  let r =
+    Mutex.protect c.lock (fun () ->
+        match Lru.find c.lru key with
+        | Some (Ready body) ->
+          c.hits <- c.hits + 1;
+          Hit body
+        | Some (Pending ws) ->
+          c.misses <- c.misses + 1;
+          ws := w :: !ws;
+          Waiting
+        | None ->
+          c.misses <- c.misses + 1;
+          (match lead () with
+          | None ->
+            Lru.add c.lru key (Pending (ref [ w ]));
+            Waiting
+          | Some reason -> Refused reason))
+  in
+  Obs.count
+    (match r with Hit _ -> "serve.cache.hit" | Waiting | Refused _ -> "serve.cache.miss");
+  r
+
+(* The execution behind [key] finished: take its waiters in arrival
+   order, and keep the body as [Ready] — or drop the entry on failure or
+   when no bodies are retained. *)
+let cache_resolve c key result =
+  Mutex.protect c.lock (fun () ->
+      let waiters =
+        match Lru.find c.lru key with
+        | Some (Pending ws) -> List.rev !ws
+        | Some (Ready _) | None -> []
+      in
+      (match result with
+      | Some body when c.retain -> Lru.add c.lru key (Ready body)
+      | Some _ | None -> Lru.remove c.lru key);
+      waiters)
+
+let cache_stats c =
+  Mutex.protect c.lock (fun () -> (c.hits, c.misses, Lru.evictions c.lru))
 
 type t = {
   cfg : config;
@@ -250,16 +322,12 @@ type t = {
   stop : bool Atomic.t;
   queue : job Workq.t;
   executors : int;
-  cache : Verbs.cache option;
+  cache : cache;
   heavy_cap : int;
   (* queued jobs per class: incremented at admission, decremented at
      dequeue — the admission-control view of queue occupancy *)
   heavy_queued : int Atomic.t;
   cheap_queued : int Atomic.t;
-  (* pending coalescable batches by key; guarded by [batch_mutex]
-     together with every [j_waiters]/[j_closed] mutation *)
-  pending : (string, job) Hashtbl.t;
-  batch_mutex : Mutex.t;
   metrics : metrics;
   responses : (int * string) Queue.t;
   responses_mutex : Mutex.t;
@@ -294,7 +362,7 @@ let create cfg =
     stop = Atomic.make false;
     queue = Workq.create ~capacity:cfg.queue_capacity;
     executors;
-    cache = Verbs.create_cache ~size:cfg.cache_size;
+    cache = create_cache ~size:cfg.cache_size;
     heavy_cap =
       (match cfg.heavy_cap with
       | Some cap ->
@@ -303,8 +371,6 @@ let create cfg =
       | None -> max 1 (cfg.queue_capacity * 3 / 4));
     heavy_queued = Atomic.make 0;
     cheap_queued = Atomic.make 0;
-    pending = Hashtbl.create 16;
-    batch_mutex = Mutex.create ();
     metrics = new_metrics ();
     responses = Queue.create ();
     responses_mutex = Mutex.create ();
@@ -357,9 +423,7 @@ let log_access t ~trace_id ~verb ~status ~queue_ns ~service_ns ~executor =
 let metrics_payload t =
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  let hits, misses, evictions =
-    match t.cache with Some c -> Verbs.cache_stats c | None -> (0, 0, 0)
-  in
+  let hits, misses, evictions = cache_stats t.cache in
   line "# TYPE msoc_serve_cache_hits_total counter";
   line "msoc_serve_cache_hits_total %d" hits;
   line "# TYPE msoc_serve_cache_misses_total counter";
@@ -387,9 +451,7 @@ let metrics_payload t =
 (* ------------------------------------------------------------------ *)
 (* Verb dispatch (executor domains).  Compute verbs live in [Verbs] —   *)
 (* shared with the CLI, so daemon answers diff clean against offline    *)
-(* runs; only the verbs that read daemon state are handled here.  A     *)
-(* successful compute result fills the cache (keyed by the canonical    *)
-(* request identity) for the acceptor's admission-time probe.           *)
+(* runs; only the verbs that read daemon state are handled here.        *)
 (* ------------------------------------------------------------------ *)
 
 let dispatch t (req : Protocol.request) =
@@ -406,9 +468,7 @@ let dispatch t (req : Protocol.request) =
     Obs.span "serve.serialize" (fun () -> text)
   | Protocol.Plan | Protocol.Measure | Protocol.Faultsim | Protocol.Montecarlo
   | Protocol.Schedule ->
-    let body = Verbs.run ~pool:t.pool req in
-    (match t.cache with Some c -> Verbs.cache_add c req body | None -> ());
-    body
+    Verbs.run ~pool:t.pool req
 
 (* ------------------------------------------------------------------ *)
 (* Executor domains                                                    *)
@@ -420,40 +480,6 @@ let push_response t conn_id line =
   Mutex.unlock t.responses_mutex;
   try ignore (Unix.write t.wake_w (Bytes.make 1 '.') 0 1) with Unix.Unix_error _ -> ()
 
-(* Hold a joinable batch open until the coalescing window closes (or the
-   server is stopping).  Sliced sleep so shutdown is never delayed by a
-   full window. *)
-let hold_batch_window t job =
-  let deadline =
-    Int64.add job.j_created_ns (Int64.of_int (t.cfg.batch_window_ms * 1_000_000))
-  in
-  let rec wait () =
-    if not (Atomic.get t.stop) then begin
-      let remaining_ns = Int64.sub deadline (Obs.now_ns ()) in
-      if Int64.compare remaining_ns 0L > 0 then begin
-        Unix.sleepf (Float.min 0.01 (Int64.to_float remaining_ns /. 1e9));
-        wait ()
-      end
-    end
-  in
-  if t.cfg.batch_window_ms > 0 then wait ()
-
-(* Claim a popped job: close it to joiners and take its waiter list in
-   arrival order.  Unkeyed jobs have exactly their leader (the waiter
-   list was sealed before the push published the job). *)
-let claim_job t job =
-  match job.j_key with
-  | None -> job.j_waiters
-  | Some key ->
-    Mutex.lock t.batch_mutex;
-    job.j_closed <- true;
-    (match Hashtbl.find_opt t.pending key with
-    | Some j when j == job -> Hashtbl.remove t.pending key
-    | Some _ | None -> ());
-    let ws = List.rev job.j_waiters in
-    Mutex.unlock t.batch_mutex;
-    ws
-
 let executor_loop t slot =
   let rec loop () =
     match Workq.pop t.queue with
@@ -463,7 +489,8 @@ let executor_loop t slot =
       | Heavy -> Atomic.decr t.heavy_queued
       | Cheap -> Atomic.decr t.cheap_queued);
       Atomic.incr t.metrics.inflight;
-      let t_deq = Obs.now_ns () in
+      let leader = job.j_leader in
+      let t_claim = Obs.now_ns () in
       (* fresh sink(s) per request so the exported span tree covers
          exactly this request and daemon memory stays bounded.  One
          executor: reset and export everything, pool workers included
@@ -475,57 +502,48 @@ let executor_loop t slot =
         Obs.start_span "serve.request"
           ~args:
             [ ("verb", Protocol.verb_name job.j_req.Protocol.verb);
-              ("trace_id",
-               match job.j_waiters with
-               | [ w ] -> w.w_trace_id
-               | ws -> (match List.rev ws with w :: _ -> w.w_trace_id | [] -> "")) ]
+              ("trace_id", leader.w_trace_id) ]
       in
-      (match job.j_waiters with
-      | [ w ] | w :: _ ->
-        Obs.record_span "serve.queue_wait" ~start_ns:w.w_enqueued_ns ~stop_ns:t_deq
-      | [] -> ());
-      (* coalescing: keep the batch joinable for the window, then seal
-         it.  The span carries the final batch size. *)
-      let waiters =
-        match job.j_key with
-        | None -> claim_job t job
-        | Some _ ->
-          let timer = Obs.start_span "serve.coalesce" in
-          hold_batch_window t job;
-          let ws = claim_job t job in
-          Obs.stop_span timer
-            ~args:(fun () -> [ ("batch", string_of_int (List.length ws)) ]);
-          ws
-      in
-      let n_waiters = List.length waiters in
-      let t_claim = Obs.now_ns () in
+      Obs.record_span "serve.queue_wait" ~start_ns:leader.w_enqueued_ns ~stop_ns:t_claim;
       let status, body =
         match dispatch t job.j_req with
         | body -> (Protocol.Ok_, body)
         | exception e -> (Protocol.Failed, Printexc.to_string e)
       in
       Obs.stop_span root;
-      (* service time excludes the deliberate window hold — that wait is
-         queue-side policy and lands in each waiter's queue_ns *)
-      let service_ns = Int64.to_int (Int64.sub (Obs.now_ns ()) t_claim) in
-      if job.j_key <> None then record_batch t.metrics ~size:n_waiters;
-      (* one export per requested format, shared by every waiter that
-         asked for it: the execution is genuinely theirs *)
-      let exports =
-        List.filter_map (fun w -> w.w_trace) waiters
-        |> List.sort_uniq compare
-        |> List.map (fun fmt ->
-               ( fmt,
-                 match fmt with
-                 | Protocol.Trace_jsonl -> Obs.jsonl ~scope ()
-                 | Protocol.Trace_chrome -> Obs.chrome_trace ~scope ()
-                 | Protocol.Trace_folded -> Obs.to_collapsed ~scope () ))
+      let t_done = Obs.now_ns () in
+      (* a shared execution answers everyone who joined it up to now *)
+      let waiters =
+        match job.j_key with
+        | None -> [ leader ]
+        | Some key ->
+          let ws =
+            cache_resolve t.cache key (if status = Protocol.Ok_ then Some body else None)
+          in
+          record_batch t.metrics ~size:(List.length ws);
+          ws
+      in
+      (* only private jobs carry a trace request, so the export is the
+         leader's own execution *)
+      let trace_export =
+        Option.map
+          (function
+            | Protocol.Trace_jsonl -> Obs.jsonl ~scope ()
+            | Protocol.Trace_chrome -> Obs.chrome_trace ~scope ()
+            | Protocol.Trace_folded -> Obs.to_collapsed ~scope ())
+          leader.w_trace
       in
       let verb = Protocol.verb_name job.j_req.Protocol.verb in
       let status_name = Protocol.status_name status in
       List.iter
         (fun w ->
-          let queue_ns = Int64.to_int (Int64.sub t_claim w.w_enqueued_ns) in
+          (* a request that joined after the claim queued for nothing and
+             was served from its own arrival on *)
+          let start =
+            if Int64.compare w.w_enqueued_ns t_claim > 0 then w.w_enqueued_ns else t_claim
+          in
+          let queue_ns = Int64.to_int (Int64.sub start w.w_enqueued_ns) in
+          let service_ns = Int64.to_int (Int64.sub t_done start) in
           record_request t.metrics ~verb ~status:status_name ~queue_ns ~service_ns;
           log_access t ~trace_id:w.w_trace_id ~verb ~status:status_name ~queue_ns
             ~service_ns ~executor:slot;
@@ -538,7 +556,7 @@ let executor_loop t slot =
               queue_ns;
               service_ns;
               pool_size = Pool.size t.pool;
-              trace_export = Option.bind w.w_trace (fun f -> List.assoc_opt f exports) }
+              trace_export }
           in
           push_response t w.w_conn (Protocol.response_to_json response))
         waiters;
@@ -601,8 +619,8 @@ let flush_responses t conns =
 (* A request answered without ever reaching an executor: a parse error,
    the admission control pushing back, or a result-cache hit.  Still
    logged, still counted. *)
-let respond_immediately t conns conn_id ~status ~verb ?(service_ns = 0) ~body () =
-  let trace_id = fresh_trace_id t in
+let respond_immediately t conns conn_id ?(trace_id = fresh_trace_id t) ~status ~verb
+    ?(service_ns = 0) ~body () =
   let status_name = Protocol.status_name status in
   record_request t.metrics ~verb ~status:status_name ~queue_ns:0 ~service_ns;
   log_access t ~trace_id ~verb ~status:status_name ~queue_ns:0 ~service_ns
@@ -620,89 +638,59 @@ let respond_immediately t conns conn_id ~status ~verb ?(service_ns = 0) ~body ()
   in
   write_response conns conn_id (Protocol.response_to_json response)
 
-(* Admission of a parsed request, in order:
-   1. result cache (pure verbs, no trace asked): answer the hit on the
-      spot — a cached body is byte-identical to a cold run by the cache
-      layer's contract, and it never occupies a queue slot;
-   2. coalesce: attach to a pending batch with the same canonical key;
-   3. class cap, then queue push; either refusal is a structured
-      [overloaded] reply naming what was exhausted. *)
+(* Admission of a parsed request.  A compute request without a trace
+   goes through the single-flight cache: a finished body is answered on
+   the spot (never occupying a queue slot), a duplicate of a queued or
+   running execution joins it (bypassing the class cap), and only a new
+   key reaches the queue.  Trace-carrying and non-compute requests run
+   privately.  Reaching the queue means the class cap, then the push;
+   either refusal is a structured [overloaded] reply naming what was
+   exhausted. *)
 let admit t conns conn_id (req : Protocol.request) =
   let verb = Protocol.verb_name req.Protocol.verb in
-  let cache_hit =
-    match t.cache with
-    | Some cache when req.Protocol.trace = None ->
-      let t0 = Obs.now_ns () in
-      (match Verbs.cache_find cache req with
-      | Some body ->
-        let service_ns = Int64.to_int (Int64.sub (Obs.now_ns ()) t0) in
-        respond_immediately t conns conn_id ~status:Protocol.Ok_ ~verb ~service_ns
-          ~body ();
-        true
-      | None -> false)
-    | Some _ | None -> false
+  let t0 = Obs.now_ns () in
+  let waiter =
+    { w_conn = conn_id;
+      w_trace_id = fresh_trace_id t;
+      w_enqueued_ns = t0;
+      w_trace = req.Protocol.trace }
   in
-  if not cache_hit then begin
-    let now = Obs.now_ns () in
-    let waiter =
-      { w_conn = conn_id;
-        w_trace_id = fresh_trace_id t;
-        w_enqueued_ns = now;
-        w_trace = req.Protocol.trace }
-    in
-    let wclass = weight_of_verb req.Protocol.verb in
-    let class_queued =
-      match wclass with Heavy -> t.heavy_queued | Cheap -> t.cheap_queued
-    in
-    let class_cap =
-      match wclass with Heavy -> t.heavy_cap | Cheap -> t.cfg.queue_capacity
-    in
-    let reject body =
-      respond_immediately t conns conn_id ~status:Protocol.Overloaded ~verb ~body ()
-    in
-    (* the whole join-or-create step is atomic under batch_mutex, so two
-       identical requests racing through admission cannot both lead *)
-    Mutex.lock t.batch_mutex;
-    let key = Protocol.coalesce_key req in
-    let joined =
-      match Option.bind key (Hashtbl.find_opt t.pending) with
-      | Some job when not job.j_closed ->
-        job.j_waiters <- waiter :: job.j_waiters;
-        true
-      | Some _ | None -> false
-    in
-    if joined then Mutex.unlock t.batch_mutex
-    else if Atomic.get class_queued >= class_cap then begin
-      Mutex.unlock t.batch_mutex;
-      reject
+  let wclass = weight_of_verb req.Protocol.verb in
+  let class_queued = match wclass with Heavy -> t.heavy_queued | Cheap -> t.cheap_queued in
+  let class_cap = match wclass with Heavy -> t.heavy_cap | Cheap -> t.cfg.queue_capacity in
+  (* [None] once the job is queued, otherwise the reason it was not *)
+  let enqueue key () =
+    if Atomic.get class_queued >= class_cap then
+      Some
         (Printf.sprintf
            "server overloaded: %d %s request(s) queued (class cap %d, queue capacity %d)"
-           (Atomic.get class_queued) (weight_name wclass) class_cap
-           t.cfg.queue_capacity)
-    end
+           (Atomic.get class_queued) (weight_name wclass) class_cap t.cfg.queue_capacity)
     else begin
-      let job =
-        { j_req = req;
-          j_key = key;
-          j_class = wclass;
-          j_created_ns = now;
-          j_waiters = [ waiter ];
-          j_closed = false }
-      in
       Atomic.incr class_queued;
-      if Workq.try_push t.queue job then begin
-        (match key with Some k -> Hashtbl.replace t.pending k job | None -> ());
-        Mutex.unlock t.batch_mutex
-      end
+      if Workq.try_push t.queue
+           { j_req = req; j_key = key; j_class = wclass; j_leader = waiter }
+      then None
       else begin
         Atomic.decr class_queued;
-        Mutex.unlock t.batch_mutex;
-        reject
+        Some
           (Printf.sprintf "server overloaded: work queue full (capacity %d)"
              (Workq.capacity t.queue))
       end
     end
-  end
+  in
+  let respond status ?service_ns body =
+    respond_immediately t conns conn_id ~trace_id:waiter.w_trace_id ~status ~verb
+      ?service_ns ~body ()
+  in
+  let key = if req.Protocol.trace = None then Protocol.cache_key req else None in
+  match key with
+  | None -> Option.iter (respond Protocol.Overloaded) (enqueue None ())
+  | Some key ->
+    (match cache_admit t.cache key waiter ~lead:(enqueue (Some key)) with
+    | Hit body ->
+      respond Protocol.Ok_ ~service_ns:(Int64.to_int (Int64.sub (Obs.now_ns ()) t0)) body
+    | Waiting -> ()
+    | Refused reason -> respond Protocol.Overloaded reason)
 
 let handle_line t conns conn_id line =
   if String.trim line <> "" then begin
@@ -789,9 +777,9 @@ let run t =
     |> List.iter (fun (id, c) -> handle_readable t conns id c)
   done;
   (* clean shutdown: stop admitting, drain the queue (close is
-     end-of-stream, so already-admitted jobs still execute — pending
-     batch windows are cut short by the stop flag), deliver the
-     remaining responses, flush the final metrics snapshot *)
+     end-of-stream, so already-admitted jobs still execute and answer
+     their joiners), deliver the remaining responses, flush the final
+     metrics snapshot *)
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   Workq.close t.queue;
   List.iter Domain.join executors;

@@ -1,31 +1,38 @@
 (** The msoc daemon: plan / measure / faultsim / montecarlo / schedule
     requests over a Unix-domain socket, executed on the shared domain
-    pool behind a bounded queue with class-aware backpressure, a
-    synthesis result cache and a request-coalescing stage.
+    pool behind a bounded queue with class-aware backpressure and a
+    single-flight result cache.
 
     One {e acceptor} (the caller of {!run}) multiplexes
     accept/read/write through one select loop; it classifies each
-    request (ping/metrics are {e cheap}, compute verbs are {e heavy}),
-    rejects with a structured ["overloaded"] reply when the class cap or
-    the queue is exhausted, probes the result cache (answering hits on
-    the spot), and attaches identical-model faultsim/montecarlo requests
-    to a pending batch instead of queueing duplicates.  {e K executors}
-    ([executors], default = pool size) pop the shared queue
-    concurrently; a claimed coalescable batch is held open for
-    [batch_window_ms] so concurrent duplicates can still join, then one
-    pooled execution is fanned back to every waiter.  All answers are
-    byte-identical regardless of executor count, cache state or batch
-    membership — the compute verbs are deterministic functions of their
-    canonical key.
+    request (ping/metrics are {e cheap}, compute verbs are {e heavy})
+    and rejects with a structured ["overloaded"] reply when the class
+    cap or the queue is exhausted.  {e K executors} ([executors],
+    default = pool size) pop the shared queue concurrently.
+
+    Single flight: compute requests without a trace are keyed by
+    {!Protocol.cache_key} in one LRU whose entries are pending
+    executions or finished bodies.  A finished body is answered on the
+    spot; a duplicate of a queued or running execution joins it as one
+    more waiter (it takes no queue slot and no executor, so the class
+    cap never rejects it); only a new key is queued.  The executor fans
+    the one body out to every waiter, or the one [error] reply when the
+    execution fails (nothing is cached then).  All answers are
+    byte-identical regardless of executor count, cache state or
+    sharing — the compute verbs are deterministic functions of their
+    canonical key.  A joiner's [queue_ns] counts only the time before
+    the execution started, and its [service_ns] runs from the later of
+    its arrival and that start, so the two never exceed what its client
+    observed.
 
     Observability: every request gets a trace id; it runs under a
-    [serve.request] span with [serve.queue_wait] / [serve.coalesce] /
-    [serve.execute] / [serve.serialize] children.  With one executor the
+    [serve.request] span with [serve.queue_wait] / [serve.execute] /
+    [serve.serialize] children.  With one executor the
     Obs sinks are fully reset per request (pool workers included); with
     several, each executor resets and exports only its own domain's
     sink, so concurrent traces stay disjoint.  Service-level counters,
-    log2-bucket latency histograms, coalescing and cache counters and
-    gauges accumulate in a server-owned registry that the [metrics] verb
+    log2-bucket latency histograms, shared-execution and cache counters
+    and gauges accumulate in a server-owned registry that the [metrics] verb
     appends to [Obs.to_prometheus] output; one JSON access-log line is
     written per request (mutex-guarded — lines never interleave).
 
@@ -37,10 +44,9 @@ type config = {
   queue_capacity : int;
   executors : int option;
       (** executor domains popping the shared queue; [None] = pool size *)
-  cache_size : int;  (** result-cache entries; [0] disables the cache *)
-  batch_window_ms : int;
-      (** how long a claimed coalescable batch stays open to joiners;
-          [0] coalesces only while a batch is still queued *)
+  cache_size : int;
+      (** finished bodies the single-flight cache keeps; [0] keeps none
+          (duplicates still join executions in flight) *)
   heavy_cap : int option;
       (** max queued heavy (compute) jobs; [None] = 3/4 of the queue
           capacity, so cheap probes always find queue space *)
@@ -50,12 +56,11 @@ type config = {
 }
 
 val config :
-  ?queue_capacity:int -> ?executors:int -> ?cache_size:int ->
-  ?batch_window_ms:int -> ?heavy_cap:int -> ?access_log:string ->
-  ?metrics_out:string -> ?pool:Msoc_util.Pool.t -> string -> config
+  ?queue_capacity:int -> ?executors:int -> ?cache_size:int -> ?heavy_cap:int ->
+  ?access_log:string -> ?metrics_out:string -> ?pool:Msoc_util.Pool.t -> string ->
+  config
 (** [config socket_path] with queue capacity 64, executors = pool size,
-    a 256-entry cache, no batch window, heavy cap 3/4 of the queue, and
-    no logs. *)
+    a 256-entry cache, heavy cap 3/4 of the queue, and no logs. *)
 
 type t
 
@@ -68,8 +73,8 @@ val create : config -> t
 val run : t -> unit
 (** Serve until {!request_stop}: blocks the calling domain.  Installs a
     SIGPIPE-ignore handler; on return the queue has drained (admitted
-    jobs still execute; open batch windows are cut short), pending
-    responses are delivered, the final metrics snapshot is written to
+    jobs still execute and answer their joiners), pending responses are
+    delivered, the final metrics snapshot is written to
     [metrics_out], and the socket file is unlinked. *)
 
 val request_stop : t -> unit
@@ -86,7 +91,10 @@ val executors : t -> int
 val metrics_payload : t -> string
 (** The [metrics] verb's body: [Obs.to_prometheus ()] followed by the
     server registry (request counters by verb/status, latency and
-    queue-wait histograms, coalescing counters and batch-size histogram,
+    queue-wait histograms, shared-execution counters
+    ([msoc_serve_batched_total]: requests answered from an execution
+    with two or more waiters; [msoc_serve_coalesced_batches_total]:
+    such executions) and waiters-per-execution histogram,
     in-flight / queue-depth / capacity / pool gauges) and the cache,
     executor, queue-accounting and class-occupancy series. *)
 

@@ -6,7 +6,6 @@
 
 module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
-module Lru = Msoc_util.Lru
 module Texttable = Msoc_util.Texttable
 module Param = Msoc_analog.Param
 module Obs = Msoc_obs.Obs
@@ -210,46 +209,3 @@ let run ~pool (req : Protocol.request) =
     invalid_arg
       (Printf.sprintf "Verbs.run: %S is not a compute verb"
          (Protocol.verb_name req.verb))
-
-(* ------------------------------------------------------------------ *)
-(* Synthesis result cache.  Compute verbs are pure functions of their   *)
-(* canonical key (Protocol.cache_key), so the rendered body can be      *)
-(* reused outright — both front ends share this layer, which is what    *)
-(* keeps a cached daemon reply byte-identical to a cold CLI run.        *)
-(* ------------------------------------------------------------------ *)
-
-type cache = string Lru.t
-
-let create_cache ~size = if size <= 0 then None else Some (Lru.create ~capacity:size)
-
-let cache_stats cache = (Lru.hits cache, Lru.misses cache, Lru.evictions cache)
-
-let cache_find cache (req : Protocol.request) =
-  match Protocol.cache_key req with
-  | None -> None
-  | Some key ->
-    let r = Lru.find cache key in
-    Obs.count (if r = None then "serve.cache.miss" else "serve.cache.hit");
-    r
-
-(* Fill without probing: the daemon acceptor already counted the miss at
-   admission time, so the executor's fill must not touch the hit/miss
-   counters.  No-op for uncacheable verbs. *)
-let cache_add cache (req : Protocol.request) body =
-  match Protocol.cache_key req with
-  | None -> ()
-  | Some key -> Lru.add cache key body
-
-let run_cached ?cache ~pool (req : Protocol.request) =
-  match (cache, Protocol.cache_key req) with
-  | None, _ | _, None -> (run ~pool req, false)
-  | Some cache, Some key ->
-    (match Lru.find cache key with
-    | Some body ->
-      Obs.count "serve.cache.hit";
-      (body, true)
-    | None ->
-      Obs.count "serve.cache.miss";
-      let body = run ~pool req in
-      Lru.add cache key body;
-      (body, false))

@@ -9,7 +9,12 @@
     rendering under [serve.serialize], so request traces attribute time
     the same way in both front ends.  Parallel verbs (faultsim, schedule)
     fan out over the supplied pool; results are bit-identical at every
-    pool size. *)
+    pool size.
+
+    Each body is a pure function of the request's
+    {!Protocol.cache_key}, which is what lets the daemon answer
+    duplicate requests from one execution (its single-flight result
+    cache) with bytes identical to a private run here. *)
 
 val run : pool:Msoc_util.Pool.t -> Protocol.request -> string
 (** Execute the request's verb and return the rendered body text.
@@ -27,38 +32,3 @@ val find :
 val montecarlo_canonical_seed : int
 (** The study seed that request seed 0 stands for (seed 0 is "the
     canonical run" across verbs, like the nominal part in [measure]). *)
-
-(** {2 Synthesis result cache}
-
-    Compute verbs are pure functions of their canonical request key
-    ({!Protocol.cache_key}), so rendered bodies can be reused outright.
-    The cache layer lives here — below both front ends — which is what
-    keeps a cached reply byte-identical to a cold one. *)
-
-type cache
-(** A bounded LRU from canonical request keys to rendered bodies, safe
-    to probe and fill from any mix of domains. *)
-
-val create_cache : size:int -> cache option
-(** [None] when [size <= 0]: a disabled cache is no cache. *)
-
-val cache_find : cache -> Protocol.request -> string option
-(** Probe without computing (the admission-time fast path); counts a
-    [serve.cache.hit] / [serve.cache.miss] Obs event and the LRU's own
-    counters.  Always [None] for non-cacheable verbs. *)
-
-val cache_add : cache -> Protocol.request -> string -> unit
-(** Fill the cache with a freshly rendered body, without touching the
-    hit/miss counters (the probe already counted the miss).  No-op for
-    non-cacheable verbs. *)
-
-val cache_stats : cache -> int * int * int
-(** [(hits, misses, evictions)] since creation, for the
-    [msoc_serve_cache_*_total] metric family. *)
-
-val run_cached :
-  ?cache:cache -> pool:Msoc_util.Pool.t -> Protocol.request -> string * bool
-(** Like {!run} but consulting (and filling) the cache when one is given
-    and the verb is cacheable.  Returns the body and whether it was a
-    cache hit — the hit body is byte-identical to what a cold run would
-    have rendered. *)

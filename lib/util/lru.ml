@@ -1,7 +1,8 @@
 (* Bounded LRU: hashtable for lookup, intrusive doubly-linked list for
    recency order (head = most recent, tail = eviction candidate).  One
    mutex guards everything — the cache sees request-granularity traffic,
-   not per-item hot paths. *)
+   not per-item hot paths.  Pinned entries are skipped by eviction, so
+   the bound is soft: it is exceeded only while pinned entries fill it. *)
 
 type 'a node = {
   key : string;
@@ -14,6 +15,7 @@ type 'a t = {
   mutex : Mutex.t;
   table : (string, 'a node) Hashtbl.t;
   capacity : int;
+  pinned : 'a -> bool;
   mutable head : 'a node option;
   mutable tail : 'a node option;
   mutable hits : int;
@@ -21,16 +23,19 @@ type 'a t = {
   mutable evictions : int;
 }
 
-let create ~capacity =
+let create_pinned ~pinned ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be at least 1";
   { mutex = Mutex.create ();
     table = Hashtbl.create (min capacity 64);
     capacity;
+    pinned;
     head = None;
     tail = None;
     hits = 0;
     misses = 0;
     evictions = 0 }
+
+let create ~capacity = create_pinned ~pinned:(fun _ -> false) ~capacity
 
 let capacity t = t.capacity
 
@@ -68,6 +73,23 @@ let find t key =
   Mutex.unlock t.mutex;
   r
 
+(* Evict unpinned entries, least recent first, until the bound holds
+   or only pinned entries are left; caller holds the mutex. *)
+let trim t =
+  let rec go node =
+    match node with
+    | Some n when Hashtbl.length t.table > t.capacity ->
+      let prev = n.prev in
+      if not (t.pinned n.value) then begin
+        unlink t n;
+        Hashtbl.remove t.table n.key;
+        t.evictions <- t.evictions + 1
+      end;
+      go prev
+    | Some _ | None -> ()
+  in
+  go t.tail
+
 let add t key value =
   Mutex.lock t.mutex;
   (match Hashtbl.find_opt t.table key with
@@ -76,16 +98,19 @@ let add t key value =
     unlink t n;
     push_front t n
   | None ->
-    if Hashtbl.length t.table >= t.capacity then (
-      match t.tail with
-      | Some lru ->
-        unlink t lru;
-        Hashtbl.remove t.table lru.key;
-        t.evictions <- t.evictions + 1
-      | None -> ());
     let n = { key; value; prev = None; next = None } in
     Hashtbl.add t.table key n;
     push_front t n);
+  trim t;
+  Mutex.unlock t.mutex
+
+let remove t key =
+  Mutex.lock t.mutex;
+  (match Hashtbl.find_opt t.table key with
+  | Some n ->
+    unlink t n;
+    Hashtbl.remove t.table key
+  | None -> ());
   Mutex.unlock t.mutex
 
 let counter get t =

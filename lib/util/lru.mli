@@ -9,13 +9,20 @@
 
     Recency is classic move-to-front on a doubly-linked list: {!find}
     bumps the entry, {!add} inserts at the front and evicts from the
-    tail once {!capacity} entries are resident. *)
+    tail once more than {!capacity} entries are resident.  Entries a
+    {!create_pinned} predicate marks as pinned are never evicted (the
+    daemon pins the results still being computed), so the bound is soft:
+    it is exceeded only while pinned entries fill it. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1] — a disabled cache is
     represented by not having one, not by a zero-capacity instance. *)
+
+val create_pinned : pinned:('a -> bool) -> capacity:int -> 'a t
+(** Like {!create}, but eviction skips the entries whose current value
+    satisfies [pinned]. *)
 
 val capacity : 'a t -> int
 
@@ -28,8 +35,11 @@ val find : 'a t -> string -> 'a option
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert at most-recently-used.  Replacing an existing key is not an
-    eviction; displacing the least-recently-used entry past capacity
-    is. *)
+    eviction; displacing the least-recently-used unpinned entry past
+    capacity is. *)
+
+val remove : 'a t -> string -> unit
+(** Drop the key if present; neither an eviction nor a miss. *)
 
 val hits : 'a t -> int
 val misses : 'a t -> int

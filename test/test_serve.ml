@@ -3,7 +3,8 @@
    contention), the wire-protocol round trip, queue-full and class-cap
    backpressure (a structured "overloaded" response, never a dropped
    connection), byte-identity of daemon answers with the offline CLI
-   across pool and executor counts — cold, cached and coalesced — the
+   across pool and executor counts — cold, cached and joined — the
+   single-flight cache's sharing, failure and class-cap rules, the
    metrics verb's Prometheus families, and the per-request trace export
    round-tripping through the offline trace analyses. *)
 
@@ -251,12 +252,13 @@ let read_lines fd want =
   List.filter (fun s -> String.length s > 0) (String.split_on_char '\n' (Buffer.contents buf))
 
 let test_backpressure () =
-  (* capacity 1 and three pipelined sleep requests: the executor can hold
-     at most one running and one queued, so at least one (deterministically
-     the third) is rejected with a structured "overloaded" response while
-     the connection stays up and the accepted requests still complete *)
+  (* capacity 1, one executor and three pipelined sleep requests: the
+     executor can hold at most one running and one queued, so at least
+     one (deterministically the third) is rejected with a structured
+     "overloaded" response while the connection stays up and the
+     accepted requests still complete *)
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config ~queue_capacity:1 socket_path) in
+  let handle = Server.start (Server.config ~queue_capacity:1 ~executors:1 socket_path) in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket_path);
@@ -368,53 +370,264 @@ let test_cache_hit_counters () =
             "msoc_serve_cache_evictions_total 0";
             "msoc_serve_executors 1" ])
 
-(* ---- request coalescing ---- *)
+(* ---- single-flight sharing ---- *)
+
+(* The value of an unlabelled series in a Prometheus body. *)
+let metric_value body name =
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i when String.sub line 0 i = name ->
+           int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+  |> function
+  | Some v -> v
+  | None -> Alcotest.failf "%s missing from metrics" name
+
+let scrape c =
+  match Client.request c (Protocol.request Protocol.Metrics) with
+  | Ok r -> r.Protocol.body
+  | Error e -> Alcotest.failf "metrics failed: %s" e
+
+let connect socket_path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+  fd
+
+let send_requests fd reqs =
+  let payload =
+    String.concat "" (List.map (fun r -> Protocol.request_to_json r ^ "\n") reqs)
+  in
+  let n = Unix.write_substring fd payload 0 (String.length payload) in
+  Alcotest.(check int) "whole pipeline written at once" (String.length payload) n
+
+let read_responses fd want =
+  List.map
+    (fun l ->
+      match Protocol.response_of_json l with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "bad response line: %s" e)
+    (read_lines fd want)
 
 let test_coalescing () =
-  (* cache off so the duplicate pair can only be answered by the
-     coalescing stage; the window keeps the first request joinable long
-     after both are admitted *)
+  (* cache off, so the duplicate pair can only share by joining the one
+     execution in flight: the second request arrives while the first is
+     still queued or running *)
   let socket_path = temp_socket () in
-  let handle =
-    Server.start
-      (Server.config ~executors:2 ~cache_size:0 ~batch_window_ms:400 socket_path)
-  in
+  let handle = Server.start (Server.config ~executors:2 ~cache_size:0 socket_path) in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  let req = Protocol.request ~taps:5 ~samples:128 ~seed:11 Protocol.Faultsim in
-  let fetch () =
+  let req = Protocol.request ~taps:5 ~samples:256 ~seed:11 Protocol.Faultsim in
+  let cold =
     Client.with_connection ~socket_path (fun c ->
         match Client.request c req with
         | Ok r when r.Protocol.status = Protocol.Ok_ -> r.Protocol.body
         | Ok r -> Alcotest.failf "faultsim rejected: %s" r.Protocol.body
         | Error e -> Alcotest.failf "faultsim failed: %s" e)
   in
-  let cold = fetch () in
-  let pair = List.init 2 (fun _ -> Domain.spawn fetch) in
-  let bodies = List.map Domain.join pair in
+  let fds = List.init 2 (fun _ -> connect socket_path) in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close fds) @@ fun () ->
+  List.iter (fun fd -> send_requests fd [ req ]) fds;
   List.iter
-    (fun body ->
-      Alcotest.(check string) "coalesced body byte-identical to a private run" cold
-        body)
-    bodies;
+    (fun fd ->
+      match read_responses fd 1 with
+      | [ r ] ->
+        Alcotest.(check string) "joined body byte-identical to a private run" cold
+          r.Protocol.body
+      | _ -> Alcotest.fail "expected one reply")
+    fds;
   Client.with_connection ~socket_path (fun c ->
-      match Client.request c (Protocol.request Protocol.Metrics) with
-      | Error e -> Alcotest.failf "metrics failed: %s" e
+      let n = metric_value (scrape c) "msoc_serve_batched_total" in
+      Alcotest.(check bool)
+        (Printf.sprintf "concurrent duplicates were batched (batched=%d)" n)
+        true (n >= 2))
+
+let test_late_joiner () =
+  (* a duplicate sent while the first request is already executing joins
+     it: same bytes, no second queue slot, and a queue/service split that
+     fits inside what its client observed *)
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config ~executors:2 ~cache_size:0 socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let req = Protocol.request ~taps:5 ~samples:256 ~seed:23 Protocol.Faultsim in
+  let expected = Pool.with_pool ~size:1 (fun pool -> Verbs.run ~pool req) in
+  Client.with_connection ~socket_path (fun probe ->
+      let accepted_before = metric_value (scrape probe) "msoc_serve_queue_accepted_total" in
+      let leader_fd = connect socket_path in
+      Fun.protect ~finally:(fun () -> Unix.close leader_fd) @@ fun () ->
+      send_requests leader_fd [ req ];
+      (* the scrape runs on the other executor and counts itself, so two
+         in flight means the leader is executing *)
+      let rec wait_running polls =
+        if polls > 5000 then Alcotest.fail "the leader never started executing";
+        if metric_value (scrape probe) "msoc_serve_inflight" = 2 then polls
+        else begin
+          Unix.sleepf 0.001;
+          wait_running (polls + 1)
+        end
+      in
+      let polls = wait_running 1 in
+      let joiner, observed_ns =
+        Client.with_connection ~socket_path (fun c ->
+            let t0 = Msoc_obs.Obs.now_ns () in
+            let r = Client.request c req in
+            (r, Int64.to_int (Int64.sub (Msoc_obs.Obs.now_ns ()) t0)))
+      in
+      let leader =
+        match read_responses leader_fd 1 with
+        | [ r ] -> r
+        | _ -> Alcotest.fail "expected the leader's reply"
+      in
+      let joiner =
+        match joiner with
+        | Ok r when r.Protocol.status = Protocol.Ok_ -> r
+        | Ok r -> Alcotest.failf "joiner rejected: %s" r.Protocol.body
+        | Error e -> Alcotest.failf "joiner failed: %s" e
+      in
+      Alcotest.(check string) "leader matches an in-process run" expected
+        leader.Protocol.body;
+      Alcotest.(check string) "joiner byte-identical to the leader" leader.Protocol.body
+        joiner.Protocol.body;
+      Alcotest.(check string) "joiner matches an in-process run" expected
+        joiner.Protocol.body;
+      Alcotest.(check int) "joined after the claim: no queue wait" 0
+        joiner.Protocol.queue_ns;
+      Alcotest.(check bool)
+        (Printf.sprintf "queue + service (%d ns) within the client latency (%d ns)"
+           (joiner.Protocol.queue_ns + joiner.Protocol.service_ns)
+           observed_ns)
+        true
+        (joiner.Protocol.queue_ns + joiner.Protocol.service_ns <= observed_ns);
+      (* every scrape is a queued job too: the [polls] waits and the
+         final one come off the difference *)
+      let accepted_after = metric_value (scrape probe) "msoc_serve_queue_accepted_total" in
+      Alcotest.(check int) "the pair took one queue slot" 1
+        (accepted_after - accepted_before - polls - 1))
+
+let test_failed_flight () =
+  (* one executor busy with a sleep holds the failing plan queued, so its
+     pipelined duplicates join it deterministically *)
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config ~executors:1 ~cache_size:8 socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let bad = Protocol.request ~topology:"no-such-topology" Protocol.Plan in
+  let fd = connect socket_path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send_requests fd [ Protocol.request ~sleep_ms:300 Protocol.Sleep; bad; bad; bad ];
+  let plans =
+    List.filter (fun r -> r.Protocol.verb = "plan") (read_responses fd 4)
+  in
+  Alcotest.(check int) "every duplicate answered" 3 (List.length plans);
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "every waiter receives the error" "error"
+        (Protocol.status_name r.Protocol.status);
+      check_contains r.Protocol.body [ "unknown topology" ])
+    plans;
+  Client.with_connection ~socket_path (fun c ->
+      let before = scrape c in
+      Alcotest.(check int) "the three shared one execution" 3
+        (metric_value before "msoc_serve_batched_total");
+      (match Client.request c bad with
       | Ok r ->
-        let batched =
-          String.split_on_char '\n' r.Protocol.body
-          |> List.find_map (fun line ->
-                 match String.index_opt line ' ' with
-                 | Some i when String.sub line 0 i = "msoc_serve_batched_total" ->
-                   int_of_string_opt
-                     (String.sub line (i + 1) (String.length line - i - 1))
-                 | _ -> None)
-        in
-        match batched with
-        | Some n ->
-          Alcotest.(check bool)
-            (Printf.sprintf "concurrent duplicates were batched (batched=%d)" n)
-            true (n >= 2)
-        | None -> Alcotest.fail "msoc_serve_batched_total missing from metrics")
+        Alcotest.(check string) "a later identical request fails again" "error"
+          (Protocol.status_name r.Protocol.status)
+      | Error e -> Alcotest.failf "plan failed: %s" e);
+      let after = scrape c in
+      Alcotest.(check int) "nothing was cached" 0
+        (metric_value after "msoc_serve_cache_hits_total");
+      (* the later request and this scrape each took a queue slot *)
+      Alcotest.(check int) "the later request executed again" 2
+        (metric_value after "msoc_serve_queue_accepted_total"
+        - metric_value before "msoc_serve_queue_accepted_total"))
+
+let test_heavy_cap_join () =
+  (* heavy cap 1 and one executor: with [first] executing, a distinct
+     heavy job fills the class cap, yet a duplicate of [first] is still
+     admitted — it joins and takes no slot — while the next distinct
+     heavy request is rejected *)
+  let socket_path = temp_socket () in
+  let handle =
+    Server.start (Server.config ~queue_capacity:8 ~executors:1 ~heavy_cap:1 socket_path)
+  in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let first = Protocol.request ~taps:5 ~samples:256 ~seed:31 Protocol.Faultsim in
+  let other = Protocol.request ~taps:5 ~samples:256 ~seed:32 Protocol.Faultsim in
+  let first_fd = connect socket_path in
+  let fd = connect socket_path in
+  Fun.protect ~finally:(fun () -> Unix.close first_fd; Unix.close fd) @@ fun () ->
+  send_requests first_fd [ first ];
+  Unix.sleepf 0.05;
+  send_requests fd [ Protocol.request ~sleep_ms:50 Protocol.Sleep; first; other ];
+  let replies = read_responses fd 3 in
+  let faultsim status =
+    List.filter
+      (fun r -> r.Protocol.verb = "faultsim" && r.Protocol.status = status)
+      replies
+  in
+  let leader =
+    match read_responses first_fd 1 with [ r ] -> r | _ -> Alcotest.fail "no leader reply"
+  in
+  (match faultsim Protocol.Ok_ with
+  | [ dup ] ->
+    Alcotest.(check string) "the admitted duplicate shares the leader's bytes"
+      leader.Protocol.body dup.Protocol.body
+  | _ -> Alcotest.fail "the duplicate was not admitted and answered");
+  match faultsim Protocol.Overloaded with
+  | [ r ] -> check_contains r.Protocol.body [ "overloaded"; "heavy"; "class cap 1" ]
+  | _ -> Alcotest.fail "the distinct heavy request was not rejected"
+
+(* Exactly once: whatever the interleaving of duplicates over 4 client
+   domains, every body equals an in-process run, and with the cache on
+   each distinct key is executed (queued) exactly once. *)
+let flight_keys =
+  [| Protocol.request Protocol.Plan;
+     Protocol.request ~topology:"sigma-delta" ~strategy:"nominal" Protocol.Plan;
+     Protocol.request ~topology:"amp-bypass" Protocol.Plan;
+     Protocol.request ~trials:300 ~seed:1 ~strategy:"nominal" Protocol.Montecarlo;
+     Protocol.request ~trials:300 ~seed:2 Protocol.Montecarlo;
+     Protocol.request ~trials:600 ~seed:1 Protocol.Montecarlo |]
+
+let flight_expected =
+  lazy
+    (Pool.with_pool ~size:1 (fun pool -> Array.map (fun r -> Verbs.run ~pool r) flight_keys))
+
+let prop_single_flight_exactly_once =
+  QCheck.Test.make ~count:12
+    ~name:"single flight: every body equals Verbs.run, each key executes once when cached"
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(int_range 4 16) (int_bound (Array.length flight_keys - 1))))
+    (fun (cached, picks) ->
+      let expected = Lazy.force flight_expected in
+      let socket_path = temp_socket () in
+      let cache_size = if cached then Array.length flight_keys else 0 in
+      let handle = Server.start (Server.config ~executors:2 ~cache_size socket_path) in
+      Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+      let picks = Array.of_list picks in
+      let clients =
+        List.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                Client.with_connection ~socket_path (fun c ->
+                    List.filter_map
+                      (fun i ->
+                        if i mod 4 <> d then None
+                        else
+                          let k = picks.(i) in
+                          match Client.request c flight_keys.(k) with
+                          | Ok r when r.Protocol.status = Protocol.Ok_ ->
+                            Some (String.equal r.Protocol.body expected.(k))
+                          | Ok _ | Error _ -> Some false)
+                      (List.init (Array.length picks) Fun.id))))
+      in
+      let all_equal = List.for_all (List.for_all Fun.id) (List.map Domain.join clients) in
+      let distinct = List.length (List.sort_uniq compare (Array.to_list picks)) in
+      (* the scrape is admitted to the queue before it reads the counter *)
+      let executed =
+        Client.with_connection ~socket_path (fun c ->
+            metric_value (scrape c) "msoc_serve_queue_accepted_total" - 1)
+      in
+      all_equal && ((not cached) || executed = distinct))
 
 (* ---- montecarlo: daemon == CLI ---- *)
 
@@ -470,14 +683,7 @@ let test_heavy_cap_admission () =
         Alcotest.(check string) "ping admitted while heavy class is capped" "ok"
           (Protocol.status_name r.Protocol.status)
       | Error e -> Alcotest.failf "ping failed: %s" e);
-  let responses =
-    List.map
-      (fun l ->
-        match Protocol.response_of_json l with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "bad response line: %s" e)
-      (read_lines fd 3)
-  in
+  let responses = read_responses fd 3 in
   let by_status st = List.filter (fun r -> r.Protocol.status = st) responses in
   Alcotest.(check bool) "at least one sleep executed" true
     (List.length (by_status Protocol.Ok_) >= 1);
@@ -572,4 +778,11 @@ let () =
             test_montecarlo_identity;
           Alcotest.test_case "heavy-class admission cap" `Quick test_heavy_cap_admission;
           Alcotest.test_case "metrics families" `Quick test_metrics_families;
-          Alcotest.test_case "trace export round trip" `Quick test_trace_roundtrip ] ) ]
+          Alcotest.test_case "trace export round trip" `Quick test_trace_roundtrip ] );
+      ( "single-flight",
+        [ Alcotest.test_case "late duplicate joins the running execution" `Quick
+            test_late_joiner;
+          Alcotest.test_case "failed execution answers every waiter" `Quick
+            test_failed_flight;
+          Alcotest.test_case "heavy-class cap admits joiners" `Quick test_heavy_cap_join ]
+        @ qcheck [ prop_single_flight_exactly_once ] ) ]

@@ -289,6 +289,30 @@ let test_lru_replace_not_eviction () =
   Alcotest.(check int) "replacement is not an eviction" 0 (Lru.evictions c);
   Alcotest.(check int) "still one entry" 1 (Lru.length c)
 
+let test_lru_pinned_and_remove () =
+  (* odd values are pinned: eviction passes over them even when they are
+     the least recently used, and the bound is exceeded only while
+     pinned entries fill it *)
+  let c = Lru.create_pinned ~pinned:(fun v -> v mod 2 = 1) ~capacity:1 in
+  Lru.add c "p" 1;
+  Lru.add c "q" 3;
+  Alcotest.(check int) "pinned entries overflow the bound" 2 (Lru.length c);
+  Alcotest.(check int) "pinned entries are never evicted" 0 (Lru.evictions c);
+  Lru.add c "r" 2;
+  Alcotest.(check (option int)) "an unpinned entry yields to pinned ones" None
+    (Lru.find c "r");
+  Alcotest.(check int) "that drop is an eviction" 1 (Lru.evictions c);
+  (* unpinning by replacement makes the entry evictable again *)
+  Lru.add c "p" 4;
+  Alcotest.(check (option int)) "pinned survivor kept" (Some 3) (Lru.find c "q");
+  Alcotest.(check (option int)) "unpinned entry evicted back to the bound" None
+    (Lru.find c "p");
+  Alcotest.(check int) "evictions" 2 (Lru.evictions c);
+  Lru.remove c "q";
+  Lru.remove c "absent";
+  Alcotest.(check int) "removed" 0 (Lru.length c);
+  Alcotest.(check int) "removal is not an eviction" 2 (Lru.evictions c)
+
 let test_lru_cross_domain () =
   (* concurrent find/add from several domains: no crash, counters sum to
      the number of probes, length stays bounded *)
@@ -350,4 +374,5 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_lru_basics;
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "replace is not eviction" `Quick test_lru_replace_not_eviction;
+          Alcotest.test_case "pinned entries and removal" `Quick test_lru_pinned_and_remove;
           Alcotest.test_case "cross-domain" `Quick test_lru_cross_domain ] ) ]
