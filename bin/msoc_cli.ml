@@ -14,9 +14,11 @@
      serve       long-running synthesis daemon over a Unix socket
      client      send one request to a running daemon
 
-   The compute verbs (plan, measure, faultsim, schedule) call the same
-   Msoc_serve.Verbs bodies the daemon executes, so offline output diffs
-   clean against daemon responses.
+   The compute verbs (plan, measure, faultsim, montecarlo, schedule) call
+   the same Msoc_serve.Verbs bodies the daemon executes, so offline output
+   diffs clean against daemon responses.  Their request flags, and those
+   of client, are derived from Msoc_serve.Protocol.fields, so a flag and
+   its wire field share one name, default and vocabulary.
 
    Exit codes: 0 success; 1 runtime failure; 2 usage error; 3 bench-diff
    regression (or missing section). *)
@@ -44,16 +46,24 @@ open Msoc_synth
 (* ---- telemetry flags (shared by every subcommand) ---- *)
 
 type metrics_format = Metrics_text | Metrics_prom
-type trace_format = Trace_chrome | Trace_folded | Trace_jsonl
 
 type telemetry = {
   trace : string option;
-  trace_format : trace_format;
+  trace_format : Serve_protocol.trace_format;
   events : string option;
   metrics : bool;
   metrics_format : metrics_format option;
       (* an explicit --metrics-format implies metrics output *)
 }
+
+let trace_format_conv =
+  let parse s =
+    match Serve_protocol.trace_format_of_name s with
+    | Some f -> Ok f
+    | None -> Error (`Msg (Printf.sprintf "unknown trace format %S (chrome|folded|jsonl)" s))
+  in
+  Cmdliner.Arg.conv
+    (parse, fun ppf f -> Format.pp_print_string ppf (Serve_protocol.trace_format_name f))
 
 let telemetry_term =
   let open Cmdliner in
@@ -64,21 +74,7 @@ let telemetry_term =
                    (loadable in chrome://tracing or Perfetto) to $(docv).")
   in
   let trace_format =
-    let fmt =
-      Arg.conv
-        ( (function
-          | "chrome" -> Ok Trace_chrome
-          | "folded" -> Ok Trace_folded
-          | "jsonl" -> Ok Trace_jsonl
-          | s -> Error (`Msg (Printf.sprintf "unknown trace format %S (chrome|folded|jsonl)" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with
-              | Trace_chrome -> "chrome"
-              | Trace_folded -> "folded"
-              | Trace_jsonl -> "jsonl") )
-    in
-    Arg.(value & opt fmt Trace_chrome
+    Arg.(value & opt trace_format_conv Serve_protocol.Trace_chrome
          & info [ "trace-format" ] ~docv:"FMT"
              ~doc:"Format for $(b,--trace): $(b,chrome) (trace_event JSON, the default), \
                    $(b,folded) (collapsed stacks for flamegraph.pl / inferno / speedscope) \
@@ -140,14 +136,11 @@ let with_telemetry tel ~command f =
       Option.iter
         (fun file ->
           (match tel.trace_format with
-          | Trace_chrome -> Obs.write_chrome_trace file
+          | Serve_protocol.Trace_chrome -> Obs.write_chrome_trace file
           | Trace_folded -> Obs.write_folded file
           | Trace_jsonl -> Obs.write_jsonl file);
           Format.eprintf "telemetry: %s trace written to %s@."
-            (match tel.trace_format with
-            | Trace_chrome -> "chrome"
-            | Trace_folded -> "folded"
-            | Trace_jsonl -> "jsonl")
+            (Serve_protocol.trace_format_name tel.trace_format)
             file)
         tel.trace;
       Option.iter
@@ -191,41 +184,94 @@ let strategy_arg =
     & opt strategy_conv Propagate.Adaptive
     & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"De-embedding strategy: nominal or adaptive.")
 
-(* The request-field spelling of a strategy.  [Propagate.strategy_name]
-   renders "nominal-gains" for display, but the wire protocol and the
-   shared verbs layer speak the flag vocabulary ("nominal"|"adaptive"). *)
-let strategy_field = function
-  | Propagate.Nominal_gains -> "nominal"
-  | Propagate.Adaptive -> "adaptive"
-
 (* Every command evaluates to its exit code; the plain reporting commands
    succeed with 0 whenever they return at all. *)
 let code0 term = Cmdliner.Term.(const (fun () -> 0) $ term)
 
-(* ---- plan ---- *)
+(* ---- request flags, derived from the protocol's field table ---- *)
 
-module Audit = Msoc_obs.Audit
-module Topology = Msoc_analog.Topology
-
-let topology_conv =
-  let parse name =
-    match Topology.find name with
-    | Some _ -> Ok name
-    | None ->
+let choice_conv name choices =
+  let parse s =
+    if List.mem s choices then Ok s
+    else
       Error
-        (`Msg
-           (Printf.sprintf "unknown topology %S (known: %s)" name
-              (String.concat ", " Topology.names)))
+        (`Msg (Printf.sprintf "unknown %s %S (known: %s)" name s (String.concat ", " choices)))
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_string)
 
-let topology_arg =
-  Cmdliner.Arg.(
-    value
-    & opt topology_conv "default"
-    & info [ "topology" ] ~docv:"NAME"
-        ~doc:"Signal-path topology to synthesise the plan for; see \
-              $(b,--list-topologies).")
+let field_conv : type a. string -> a Serve_protocol.kind -> a Cmdliner.Arg.conv =
+ fun name -> function
+  | Serve_protocol.Int -> Cmdliner.Arg.int
+  | String [] -> Cmdliner.Arg.string
+  | String choices -> choice_conv name choices
+
+(* One flag per field: [--name] with [_] spelled [-], the field's default,
+   and for a closed vocabulary exact-match validation (a usage error,
+   exit 2).  [~read_by] adds the reading verbs to the doc, for the client,
+   whose flags serve every verb. *)
+let field_arg ~read_by (Serve_protocol.Field f) =
+  let open Cmdliner in
+  let choices = match f.kind with String choices -> choices | Int -> [] in
+  let sentence label = function
+    | [] -> []
+    | names ->
+      [ label ^ ": " ^ String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names) ^ "." ]
+  in
+  let doc =
+    String.concat " "
+      ((f.doc :: sentence "Known" choices)
+      @ if read_by then sentence "Read by" (List.map Serve_protocol.verb_name f.verbs)
+        else [])
+  in
+  let docv = if choices = [] then None else Some "NAME" in
+  let names = [ String.map (function '_' -> '-' | c -> c) f.name ] in
+  let arg = Arg.(value & opt (field_conv f.name f.kind) f.default & info names ?docv ~doc) in
+  Term.(const f.set $ arg)
+
+let request_term ?(read_by = false) verb fields =
+  List.fold_left
+    (fun req field -> Cmdliner.Term.(const ( |> ) $ req $ field_arg ~read_by field))
+    Cmdliner.Term.(const (fun verb -> Serve_protocol.request verb) $ verb)
+    fields
+
+(* A compute subcommand's request: exactly the fields its verb reads. *)
+let verb_request verb =
+  request_term (Cmdliner.Term.const verb)
+    (List.filter (Serve_protocol.reads verb) Serve_protocol.fields)
+
+(* Run a compute verb in-process on the default pool (the body the
+   daemon would send) and print it, under a progress heartbeat when a
+   [render] is given. *)
+let print_verb ?render req =
+  let compute () = Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req in
+  print_string
+    (match render with Some render -> Progress.with_ticker ~render compute | None -> compute ())
+
+module Audit = Msoc_obs.Audit
+
+let audit_arg ~doc =
+  Cmdliner.Arg.(value & opt (some string) None & info [ "audit" ] ~docv:"FILE" ~doc)
+
+(* Run [f] recording the synthesis audit trail when a file is given, then
+   print the text report and write the JSON to the file. *)
+let with_audit audit_file f =
+  match audit_file with
+  | None -> f ()
+  | Some file ->
+    Audit.enable ();
+    Audit.reset ();
+    f ();
+    Audit.disable ();
+    Format.printf "@.%s" (Audit.to_text ());
+    Audit.write_json file;
+    Format.eprintf "audit: %d provenance records written to %s@."
+      (List.length (Audit.records ()))
+      file;
+    Audit.reset ()
+
+(* ---- plan ---- *)
+
+module Topology = Msoc_analog.Topology
 
 let list_topologies_arg =
   Cmdliner.Arg.(
@@ -238,43 +284,22 @@ let print_topologies () =
     Topology.summaries;
   Texttable.print t
 
-let run_plan tel strategy topology list_topologies audit_file =
+let run_plan tel req list_topologies audit_file =
   with_telemetry tel ~command:"plan" @@ fun () ->
   if list_topologies then print_topologies ()
-  else begin
-  if audit_file <> None then begin
-    Audit.enable ();
-    Audit.reset ()
-  end;
-  let req =
-    Serve_protocol.request ~topology ~strategy:(strategy_field strategy)
-      Serve_protocol.Plan
-  in
-  print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req);
-  match audit_file with
-  | None -> ()
-  | Some file ->
-    Audit.disable ();
-    Format.printf "@.%s" (Audit.to_text ());
-    Audit.write_json file;
-    Format.eprintf "audit: %d provenance records written to %s@."
-      (List.length (Audit.records ()))
-      file;
-    Audit.reset ()
-  end
+  else with_audit audit_file (fun () -> print_verb req)
 
 let plan_cmd =
   let open Cmdliner in
   let audit =
-    Arg.(value & opt (some string) None
-         & info [ "audit" ] ~docv:"FILE"
-             ~doc:"Record the synthesis audit trail (per-parameter provenance: strategy, \
-                   stimulus, achieved vs required accuracy, error-budget contributions), \
-                   write it as JSON to $(docv) and print the text report.")
+    audit_arg
+      ~doc:"Record the synthesis audit trail (per-parameter provenance: strategy, \
+            stimulus, achieved vs required accuracy, error-budget contributions), \
+            write it as JSON to $(docv) and print the text report."
   in
   Cmd.v (Cmd.info "plan" ~doc:"Synthesise the system-level test plan")
     (code0
-       Term.(const run_plan $ telemetry_term $ strategy_arg $ topology_arg
+       Term.(const run_plan $ telemetry_term $ verb_request Serve_protocol.Plan
              $ list_topologies_arg $ audit))
 
 (* ---- coverage ---- *)
@@ -355,35 +380,17 @@ let render_faultsim ~elapsed_s =
     batches batches_total judged judged_total coverage
     (Progress.pp_duration elapsed_s) eta
 
-let run_faultsim tel progress taps input_bits coeff_bits samples tones seed =
+(* pooled: bit-identical to the serial path at any MSOC_DOMAINS *)
+let run_faultsim tel progress req =
   with_telemetry tel ~command:"faultsim" @@ fun () ->
-  let req =
-    Serve_protocol.request ~taps ~input_bits ~coeff_bits ~samples ~tones ~seed
-      Serve_protocol.Faultsim
-  in
-  (* pooled: bit-identical to the serial path at any MSOC_DOMAINS *)
-  let compute () = Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req in
-  let body =
-    if progress then Progress.with_ticker ~render:render_faultsim compute else compute ()
-  in
-  print_string body
+  print_verb ?render:(if progress then Some render_faultsim else None) req
 
 let faultsim_cmd =
   let open Cmdliner in
-  let taps = Arg.(value & opt int 9 & info [ "taps" ] ~doc:"FIR tap count.") in
-  let input_bits = Arg.(value & opt int 10 & info [ "input-bits" ] ~doc:"Input bus width.") in
-  let coeff_bits = Arg.(value & opt int 8 & info [ "coeff-bits" ] ~doc:"Coefficient width.") in
-  let samples = Arg.(value & opt int 1024 & info [ "samples" ] ~doc:"Test pattern count.") in
-  let tones = Arg.(value & opt int 2 & info [ "tones" ] ~doc:"Stimulus tone count (1 or 2).") in
-  let seed =
-    Arg.(value & opt int 0
-         & info [ "seed" ]
-             ~doc:"Stimulus phase seed; 0 (default) means the canonical zero-phase tones.")
-  in
   Cmd.v (Cmd.info "faultsim" ~doc:"Spectral stuck-at fault simulation of the FIR filter")
     (code0
-       Term.(const run_faultsim $ telemetry_term $ progress_arg $ taps $ input_bits
-             $ coeff_bits $ samples $ tones $ seed))
+       Term.(const run_faultsim $ telemetry_term $ progress_arg
+             $ verb_request Serve_protocol.Faultsim))
 
 (* ---- montecarlo ---- *)
 
@@ -404,36 +411,18 @@ let render_montecarlo ~elapsed_s =
    subcommand and a daemon montecarlo request answer byte-identically.
    Trials run on the domain pool with one pre-split generator stream per
    trial, so the distribution is bit-identical at every pool size. *)
-let run_montecarlo tel progress strategy trials seed =
+let run_montecarlo tel progress req =
   with_telemetry tel ~command:"montecarlo" @@ fun () ->
-  let req =
-    Msoc_serve.Protocol.request ~strategy:(strategy_field strategy) ~trials ~seed
-      Msoc_serve.Protocol.Montecarlo
-  in
-  let pool = Msoc_util.Pool.get_default () in
-  let compute () = Msoc_serve.Verbs.run ~pool req in
-  let body =
-    if progress then Progress.with_ticker ~render:render_montecarlo compute else compute ()
-  in
-  print_string body
+  print_verb ?render:(if progress then Some render_montecarlo else None) req
 
 let montecarlo_cmd =
   let open Cmdliner in
-  let trials =
-    Arg.(value & opt int 50_000 & info [ "trials" ] ~doc:"Monte-Carlo trial count.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ]
-          ~doc:"Generator seed; 0 (the default) means the canonical study seed.")
-  in
   Cmd.v
     (Cmd.info "montecarlo"
        ~doc:"Monte-Carlo de-embedding error study for the mixer IIP3 (Figure 4 model)")
     (code0
-       Term.(const run_montecarlo $ telemetry_term $ progress_arg $ strategy_arg $ trials
-             $ seed))
+       Term.(const run_montecarlo $ telemetry_term $ progress_arg
+             $ verb_request Serve_protocol.Montecarlo))
 
 (* ---- trace: offline analysis of saved telemetry ---- *)
 
@@ -573,42 +562,15 @@ let spectrum_cmd =
 
 (* ---- measure ---- *)
 
-let run_measure tel strategy topology seed =
-  with_telemetry tel ~command:"measure" @@ fun () ->
-  let req =
-    Serve_protocol.request ~topology ~strategy:(strategy_field strategy) ~seed
-      Serve_protocol.Measure
-  in
-  print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req)
+let run_measure tel req =
+  with_telemetry tel ~command:"measure" @@ fun () -> print_verb req
 
 let measure_cmd =
   let open Cmdliner in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Part seed; 0 means the nominal part.")
-  in
   Cmd.v (Cmd.info "measure" ~doc:"Run the virtual tester against a manufactured part")
-    (code0 Term.(const run_measure $ telemetry_term $ strategy_arg $ topology_arg $ seed))
+    (code0 Term.(const run_measure $ telemetry_term $ verb_request Serve_protocol.Measure))
 
 (* ---- schedule: whole-SOC test-time minimization ---- *)
-
-let soc_conv =
-  let parse name =
-    match Soc.find name with
-    | Some _ -> Ok name
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown SOC %S (known: %s)" name
-              (String.concat ", " Soc.names)))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_string)
-
-let soc_arg =
-  Cmdliner.Arg.(
-    value
-    & opt soc_conv "reference"
-    & info [ "soc" ] ~docv:"NAME"
-        ~doc:"SOC fixture to schedule; see $(b,--list-socs).")
 
 let list_socs_arg =
   Cmdliner.Arg.(
@@ -620,53 +582,18 @@ let print_socs () =
   List.iter (fun (name, summary) -> Texttable.add_row t [ name; summary ]) Soc.summaries;
   Texttable.print t
 
-let run_schedule tel soc restarts iters seed list_socs audit_file =
+let run_schedule tel req list_socs audit_file =
   with_telemetry tel ~command:"schedule" @@ fun () ->
   if list_socs then print_socs ()
-  else begin
-  if audit_file <> None then begin
-    Audit.enable ();
-    Audit.reset ()
-  end;
-  let req =
-    Serve_protocol.request ~soc ~restarts ~iters ~seed Serve_protocol.Schedule
-  in
-  print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req);
-  match audit_file with
-  | None -> ()
-  | Some file ->
-    Audit.disable ();
-    Format.printf "@.%s" (Audit.to_text ());
-    Audit.write_json file;
-    Format.eprintf "audit: %d provenance records written to %s@."
-      (List.length (Audit.records ()))
-      file;
-    Audit.reset ()
-  end
+  else with_audit audit_file (fun () -> print_verb req)
 
 let schedule_cmd =
   let open Cmdliner in
-  let restarts =
-    Arg.(value & opt int 8
-         & info [ "restarts" ] ~docv:"N"
-             ~doc:"Simulated-annealing restarts, fanned out over the domain pool; the \
-                   chosen schedule is bit-identical at every pool size.")
-  in
-  let iters =
-    Arg.(value & opt int 400
-         & info [ "iters" ] ~docv:"N" ~doc:"Annealing moves per restart.")
-  in
-  let seed =
-    Arg.(value & opt int 0
-         & info [ "seed" ]
-             ~doc:"Annealing seed; 0 (default) means the canonical seed.")
-  in
   let audit =
-    Arg.(value & opt (some string) None
-         & info [ "audit" ] ~docv:"FILE"
-             ~doc:"Record the per-core synthesis audit trail (per-parameter provenance \
-                   including the derived application cost), write it as JSON to $(docv) \
-                   and print the text report.")
+    audit_arg
+      ~doc:"Record the per-core synthesis audit trail (per-parameter provenance \
+            including the derived application cost), write it as JSON to $(docv) \
+            and print the text report."
   in
   Cmd.v
     (Cmd.info "schedule"
@@ -674,7 +601,7 @@ let schedule_cmd =
              constraints and minimize the total test time (greedy baseline plus \
              pooled simulated-annealing refinement)")
     (code0
-       Term.(const run_schedule $ telemetry_term $ soc_arg $ restarts $ iters $ seed
+       Term.(const run_schedule $ telemetry_term $ verb_request Serve_protocol.Schedule
              $ list_socs_arg $ audit))
 
 (* ---- netlist ---- *)
@@ -925,28 +852,16 @@ let run_client_load ~socket ~req ~repeat ~concurrency =
      broken transport makes the load run itself fail *)
   if transport > 0 then 1 else 0
 
-let run_client verb socket topology strategy seed taps input_bits coeff_bits samples
-    tones soc restarts iters trials sleep_ms repeat concurrency trace_format trace_out =
+let run_client req socket repeat concurrency trace_format trace_out =
   if repeat < 1 then failwith "client: --repeat must be at least 1";
   if concurrency < 1 then failwith "client: --concurrency must be at least 1";
-  let strategy = strategy_field strategy in
   (* a per-request trace export is only requested when there is a file
      to put it in (and never in load mode: one file, many requests) *)
   let load_mode = repeat > 1 || concurrency > 1 in
   let trace =
-    match trace_out with
-    | Some _ when not load_mode ->
-      Some
-        (match trace_format with
-        | Trace_chrome -> Serve_protocol.Trace_chrome
-        | Trace_folded -> Serve_protocol.Trace_folded
-        | Trace_jsonl -> Serve_protocol.Trace_jsonl)
-    | _ -> None
+    match trace_out with Some _ when not load_mode -> Some trace_format | _ -> None
   in
-  let req =
-    Serve_protocol.request ~topology ~strategy ~seed ~taps ~input_bits ~coeff_bits
-      ~samples ~tones ~soc ~restarts ~iters ~trials ~sleep_ms ?trace verb
-  in
+  let req = { req with Serve_protocol.trace } in
   let unreachable e =
     failwith
       (Printf.sprintf "client: cannot reach daemon at %s: %s" socket
@@ -991,39 +906,6 @@ let client_cmd =
              ~doc:"$(b,plan), $(b,measure), $(b,faultsim), $(b,montecarlo), \
                    $(b,schedule), $(b,metrics), $(b,ping) or $(b,sleep).")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Request seed (verb-dependent).")
-  in
-  let taps = Arg.(value & opt int 9 & info [ "taps" ] ~doc:"faultsim: FIR tap count.") in
-  let input_bits =
-    Arg.(value & opt int 10 & info [ "input-bits" ] ~doc:"faultsim: input bus width.")
-  in
-  let coeff_bits =
-    Arg.(value & opt int 8 & info [ "coeff-bits" ] ~doc:"faultsim: coefficient width.")
-  in
-  let samples =
-    Arg.(value & opt int 1024 & info [ "samples" ] ~doc:"faultsim: test pattern count.")
-  in
-  let tones =
-    Arg.(value & opt int 2 & info [ "tones" ] ~doc:"faultsim: stimulus tone count (1 or 2).")
-  in
-  let soc =
-    Arg.(value & opt soc_conv "reference"
-         & info [ "soc" ] ~doc:"schedule: SOC fixture name.")
-  in
-  let restarts =
-    Arg.(value & opt int 8 & info [ "restarts" ] ~doc:"schedule: annealing restarts.")
-  in
-  let iters =
-    Arg.(value & opt int 400
-         & info [ "iters" ] ~doc:"schedule: annealing moves per restart.")
-  in
-  let trials =
-    Arg.(value & opt int 50_000 & info [ "trials" ] ~doc:"montecarlo: trial count.")
-  in
-  let sleep_ms =
-    Arg.(value & opt int 50 & info [ "sleep-ms" ] ~doc:"sleep: executor hold time.")
-  in
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ] ~docv:"N"
@@ -1037,21 +919,7 @@ let client_cmd =
                    sending its $(b,--repeat) share concurrently.")
   in
   let trace_format =
-    let fmt =
-      Arg.conv
-        ( (function
-          | "chrome" -> Ok Trace_chrome
-          | "folded" -> Ok Trace_folded
-          | "jsonl" -> Ok Trace_jsonl
-          | s -> Error (`Msg (Printf.sprintf "unknown trace format %S (chrome|folded|jsonl)" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with
-              | Trace_chrome -> "chrome"
-              | Trace_folded -> "folded"
-              | Trace_jsonl -> "jsonl") )
-    in
-    Arg.(value & opt fmt Trace_jsonl
+    Arg.(value & opt trace_format_conv Serve_protocol.Trace_jsonl
          & info [ "trace-format" ] ~docv:"FMT"
              ~doc:"Format of the per-request trace export: $(b,jsonl) (default; richest, \
                    analysable with $(b,msoc trace)), $(b,chrome) or $(b,folded).")
@@ -1064,9 +932,8 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Send one request to a running msoc daemon and print the response body")
-    Term.(const run_client $ verb $ socket_arg $ topology_arg $ strategy_arg $ seed
-          $ taps $ input_bits $ coeff_bits $ samples $ tones $ soc $ restarts $ iters
-          $ trials $ sleep_ms $ repeat $ concurrency $ trace_format $ trace_out)
+    Term.(const run_client $ request_term ~read_by:true verb Serve_protocol.fields
+          $ socket_arg $ repeat $ concurrency $ trace_format $ trace_out)
 
 (* ---- entry point: exit-code discipline ---- *)
 

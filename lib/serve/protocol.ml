@@ -1,8 +1,9 @@
 (* Wire protocol of the msoc daemon: newline-delimited JSON, one request
    object in, one response object out, over a Unix-domain socket.
 
-   Requests name a verb and carry only the parameters that verb reads;
-   everything has a default, so [{"verb":"plan"}] is a complete request.
+   Requests name a verb plus the parameters declared once in [fields];
+   every parameter has a default, so [{"verb":"plan"}] is a complete
+   request.
    Responses always carry the status, the server-assigned trace id and
    the timing attribution (queue wait vs service), so every client sees
    the observability plane even when it asked for nothing special. *)
@@ -47,79 +48,156 @@ let trace_format_of_name = function
   | "folded" -> Some Trace_folded
   | _ -> None
 
+(* One field per computation parameter, declared in [fields] below, plus
+   the verb and the per-request trace export echoed back in the response. *)
 type request = {
   verb : verb;
-  (* plan / measure *)
   topology : string;
-  strategy : string;  (* "nominal" | "adaptive" *)
+  strategy : string;
   seed : int;
-  (* faultsim *)
   taps : int;
   input_bits : int;
   coeff_bits : int;
   samples : int;
   tones : int;
-  (* schedule *)
   soc : string;
   restarts : int;
   iters : int;
-  (* montecarlo *)
   trials : int;
-  (* sleep (diagnostic: occupy an executor to exercise backpressure) *)
   sleep_ms : int;
-  (* per-request trace export, echoed back in the response *)
   trace : trace_format option;
 }
 
-(* Defaults match the msoc CLI flag defaults, so a bare daemon request
-   and a bare CLI invocation describe the same computation. *)
-let request ?(topology = "default") ?(strategy = "adaptive") ?(seed = 0) ?(taps = 9)
-    ?(input_bits = 10) ?(coeff_bits = 8) ?(samples = 1024) ?(tones = 2)
-    ?(soc = "reference") ?(restarts = 8) ?(iters = 400) ?(trials = 50_000)
-    ?(sleep_ms = 50) ?trace verb =
+(* ---- the request schema: one row per computation parameter ---- *)
+
+type _ kind = Int : int kind | String : string list -> string kind
+
+type field =
+  | Field : {
+      name : string;
+      kind : 'a kind;
+      default : 'a;
+      verbs : verb list;
+      doc : string;
+      get : request -> 'a;
+      set : 'a -> request -> request;
+    }
+      -> field
+
+let int name verbs default doc get set =
+  Field { name; kind = Int; default; verbs; doc; get; set }
+
+let string ?(choices = []) name verbs default doc get set =
+  Field { name; kind = String choices; default; verbs; doc; get; set }
+
+let fields =
+  [ string "topology" [ Plan; Measure ] "default" ~choices:Msoc_analog.Topology.names
+      "Signal-path topology to synthesise or measure."
+      (fun r -> r.topology) (fun v r -> { r with topology = v });
+    string "strategy" [ Plan; Measure; Montecarlo ] "adaptive"
+      ~choices:[ "nominal"; "adaptive" ] "De-embedding strategy."
+      (fun r -> r.strategy) (fun v r -> { r with strategy = v });
+    int "seed" [ Measure; Faultsim; Montecarlo; Schedule ] 0
+      "Seed of the sampled part, stimulus phases, Monte-Carlo generator or annealer; \
+       0 means the nominal part or the canonical seed."
+      (fun r -> r.seed) (fun v r -> { r with seed = v });
+    int "taps" [ Faultsim ] 9 "FIR tap count." (fun r -> r.taps)
+      (fun v r -> { r with taps = v });
+    int "input_bits" [ Faultsim ] 10 "FIR input bus width." (fun r -> r.input_bits)
+      (fun v r -> { r with input_bits = v });
+    int "coeff_bits" [ Faultsim ] 8 "FIR coefficient width." (fun r -> r.coeff_bits)
+      (fun v r -> { r with coeff_bits = v });
+    int "samples" [ Faultsim ] 1024 "Test pattern count." (fun r -> r.samples)
+      (fun v r -> { r with samples = v });
+    int "tones" [ Faultsim ] 2 "Stimulus tone count (1 or 2)." (fun r -> r.tones)
+      (fun v r -> { r with tones = v });
+    string "soc" [ Schedule ] "reference" ~choices:Msoc_soc.Soc.names
+      "SOC fixture to schedule." (fun r -> r.soc) (fun v r -> { r with soc = v });
+    int "restarts" [ Schedule ] 8
+      "Simulated-annealing restarts, fanned out over the domain pool."
+      (fun r -> r.restarts) (fun v r -> { r with restarts = v });
+    int "iters" [ Schedule ] 400 "Annealing moves per restart." (fun r -> r.iters)
+      (fun v r -> { r with iters = v });
+    int "trials" [ Montecarlo ] 50_000 "Monte-Carlo trial count." (fun r -> r.trials)
+      (fun v r -> { r with trials = v });
+    int "sleep_ms" [ Sleep ] 50 "Executor hold time in milliseconds." (fun r -> r.sleep_ms)
+      (fun v r -> { r with sleep_ms = v }) ]
+
+let reads verb (Field f) = List.mem verb f.verbs
+
+let defaults =
+  List.fold_left
+    (fun r (Field f) -> f.set f.default r)
+    { verb = Ping; topology = ""; strategy = ""; seed = 0; taps = 0; input_bits = 0;
+      coeff_bits = 0; samples = 0; tones = 0; soc = ""; restarts = 0; iters = 0;
+      trials = 0; sleep_ms = 0; trace = None }
+    fields
+
+let request ?(topology = defaults.topology) ?(strategy = defaults.strategy)
+    ?(seed = defaults.seed) ?(taps = defaults.taps) ?(input_bits = defaults.input_bits)
+    ?(coeff_bits = defaults.coeff_bits) ?(samples = defaults.samples)
+    ?(tones = defaults.tones) ?(soc = defaults.soc) ?(restarts = defaults.restarts)
+    ?(iters = defaults.iters) ?(trials = defaults.trials) ?(sleep_ms = defaults.sleep_ms)
+    ?trace verb =
   { verb; topology; strategy; seed; taps; input_bits; coeff_bits; samples; tones;
     soc; restarts; iters; trials; sleep_ms; trace }
 
-(* The canonical computation identity behind a request: the verb plus
-   exactly the fields that verb reads.  Projecting down to the read set
-   makes the key total over equivalent requests — a faultsim request with
-   an exotic [soc] field shares its result with one that left it
-   defaulted. *)
+(* The canonical computation identity behind a request: the verb plus,
+   in table order, exactly the fields that verb reads.  Projecting down to
+   the read set makes equivalent requests share a key — a faultsim request
+   with an exotic [soc] field shares its result with one that left it
+   defaulted.  Strings are length-prefixed, so no value can forge a
+   delimiter and the key is injective on the read set. *)
 let cache_key r =
   match r.verb with
-  | Plan -> Some (Printf.sprintf "plan|%s|%s" r.topology r.strategy)
-  | Measure -> Some (Printf.sprintf "measure|%s|%s|%d" r.topology r.strategy r.seed)
-  | Faultsim ->
-    Some
-      (Printf.sprintf "faultsim|%d|%d|%d|%d|%d|%d" r.taps r.input_bits r.coeff_bits
-         r.samples r.tones r.seed)
-  | Montecarlo -> Some (Printf.sprintf "montecarlo|%s|%d|%d" r.strategy r.trials r.seed)
-  | Schedule ->
-    Some (Printf.sprintf "schedule|%s|%d|%d|%d" r.soc r.restarts r.iters r.seed)
   | Metrics | Ping | Sleep -> None
+  | verb ->
+    let value (Field f) =
+      match f.kind with
+      | Int -> string_of_int (f.get r)
+      | String _ -> Printf.sprintf "%d:%s" (String.length (f.get r)) (f.get r)
+    in
+    Some (String.concat "|" (verb_name verb :: List.map value (List.filter (reads verb) fields)))
+
+let emit : type a. a kind -> a -> Buffer.t -> unit = function
+  | Int -> Json.int
+  | String _ -> Json.str
 
 let request_to_json r =
   let b = Buffer.create 256 in
   Json.obj_to b
-    ([ ("verb", Json.str (verb_name r.verb));
-       ("topology", Json.str r.topology);
-       ("strategy", Json.str r.strategy);
-       ("seed", Json.int r.seed);
-       ("taps", Json.int r.taps);
-       ("input_bits", Json.int r.input_bits);
-       ("coeff_bits", Json.int r.coeff_bits);
-       ("samples", Json.int r.samples);
-       ("tones", Json.int r.tones);
-       ("soc", Json.str r.soc);
-       ("restarts", Json.int r.restarts);
-       ("iters", Json.int r.iters);
-       ("trials", Json.int r.trials);
-       ("sleep_ms", Json.int r.sleep_ms) ]
+    ((("verb", Json.str (verb_name r.verb))
+      :: List.map (fun (Field f) -> (f.name, emit f.kind (f.get r))) fields)
     @
     match r.trace with
     | None -> []
     | Some f -> [ ("trace", Json.str (trace_format_name f)) ]);
   Buffer.contents b
+
+(* Integers travel as JSON numbers, which the parser reads as doubles;
+   beyond 2^53 - 1 neighbouring integers collapse, so a larger magnitude
+   could name a different request than the one sent and is refused. *)
+let max_exact_int = 9007199254740991.0
+
+let decode : type a. a kind -> Json.value -> (a, string) result =
+ fun kind v ->
+  match (kind, v) with
+  | Int, Json.Number x when Float.is_integer x && Float.abs x <= max_exact_int ->
+    Ok (int_of_float x)
+  | Int, Json.Number x when Float.is_integer x -> Error "is out of range (|n| < 2^53)"
+  | Int, _ -> Error "must be an integer"
+  | String _, Json.String s -> Ok s
+  | String _, _ -> Error "must be a string"
+
+let rec decode_fields j r = function
+  | [] -> Ok r
+  | Field f :: rest ->
+    (match Json.member f.name j with
+    | None -> decode_fields j r rest
+    | Some v ->
+      (match decode f.kind v with
+      | Ok x -> decode_fields j (f.set x r) rest
+      | Error why -> Error (Printf.sprintf "field %S %s" f.name why)))
 
 let member_string key j = Option.bind (Json.member key j) Json.to_string
 
@@ -141,27 +219,12 @@ let request_of_json line =
           (Printf.sprintf "unknown verb %S (known: %s)" name
              (String.concat ", " (List.map verb_name all_verbs)))
       | Some verb ->
-        let d = request verb in
         (match member_string "trace" j with
         | Some t when trace_format_of_name t = None ->
           Error (Printf.sprintf "unknown trace format %S (jsonl|chrome|folded)" t)
         | trace_field ->
-          Ok
-            { verb;
-              topology = Option.value ~default:d.topology (member_string "topology" j);
-              strategy = Option.value ~default:d.strategy (member_string "strategy" j);
-              seed = member_int ~default:d.seed "seed" j;
-              taps = member_int ~default:d.taps "taps" j;
-              input_bits = member_int ~default:d.input_bits "input_bits" j;
-              coeff_bits = member_int ~default:d.coeff_bits "coeff_bits" j;
-              samples = member_int ~default:d.samples "samples" j;
-              tones = member_int ~default:d.tones "tones" j;
-              soc = Option.value ~default:d.soc (member_string "soc" j);
-              restarts = member_int ~default:d.restarts "restarts" j;
-              iters = member_int ~default:d.iters "iters" j;
-              trials = member_int ~default:d.trials "trials" j;
-              sleep_ms = member_int ~default:d.sleep_ms "sleep_ms" j;
-              trace = Option.bind trace_field trace_format_of_name })))
+          let trace = Option.bind trace_field trace_format_of_name in
+          decode_fields j { defaults with verb; trace } fields)))
 
 type status = Ok_ | Overloaded | Failed
 

@@ -2,9 +2,9 @@
     Unix-domain socket, one request object per line in, one response
     object per line out.
 
-    Every request parameter has a default matching the msoc CLI flag
-    defaults, so [{"verb":"plan"}] is a complete request describing the
-    same computation as a bare [msoc plan]. *)
+    Every request parameter has a default, shared with the msoc CLI flag
+    through {!fields}, so [{"verb":"plan"}] is a complete request
+    describing the same computation as a bare [msoc plan]. *)
 
 type verb = Plan | Measure | Faultsim | Montecarlo | Schedule | Metrics | Ping | Sleep
 (** [Montecarlo] runs the IIP3 de-embedding error study
@@ -43,29 +43,69 @@ type request = {
           in the chosen format. *)
 }
 
+(** {2 Request schema}
+
+    [fields] is the one place a request parameter is declared: its wire
+    name, kind, default, the verbs that read it, a one-line doc and, for
+    strings, the closed vocabulary the CLI accepts.  The constructor's
+    defaults, {!request_to_json}, {!request_of_json}, {!cache_key} and
+    every msoc flag that sets a request parameter are derived from it, so
+    adding a parameter takes one record field and one row. *)
+
+type _ kind =
+  | Int : int kind
+  | String : string list -> string kind
+      (** The choice list (empty: any string) is enforced by the CLI
+          only; the wire parser accepts any string and lets the verb
+          report an unknown name as an [error] response. *)
+
+type field =
+  | Field : {
+      name : string;  (** wire key; the CLI flag is [--name] with [_] as [-] *)
+      kind : 'a kind;
+      default : 'a;
+      verbs : verb list;  (** the verbs whose result depends on the field *)
+      doc : string;
+      get : request -> 'a;
+      set : 'a -> request -> request;
+    }
+      -> field
+
+val fields : field list
+(** One row per request parameter, in wire order. *)
+
+val reads : verb -> field -> bool
+(** [reads verb f]: [verb]'s result depends on [f]. *)
+
 val request :
   ?topology:string -> ?strategy:string -> ?seed:int -> ?taps:int ->
   ?input_bits:int -> ?coeff_bits:int -> ?samples:int -> ?tones:int ->
   ?soc:string -> ?restarts:int -> ?iters:int -> ?trials:int ->
   ?sleep_ms:int -> ?trace:trace_format -> verb -> request
-(** A request with every unspecified field at its CLI default. *)
+(** A request with every unspecified field at its {!fields} default. *)
 
 val cache_key : request -> string option
 (** Canonical identity of the computation a request describes: the verb
-    plus exactly the fields that verb reads, normalized (two requests
-    differing only in fields the verb ignores share a key).  [None] for
-    the verbs that read daemon state or wall-clock time
+    plus, in {!fields} order, exactly the fields that verb reads (two
+    requests differing only in fields the verb ignores share a key).
+    String values are length-prefixed, so the key is injective: two
+    requests share a key only when their verbs and read fields are equal.
+    [None] for the verbs that read daemon state or wall-clock time
     (Metrics/Ping/Sleep) — those are never shared.  This key indexes the
     daemon's single-flight result cache: requests with equal keys are
     answered from one execution, whether it has finished (a cached body)
     or is still queued or running (the request joins it). *)
 
 val request_to_json : request -> string
-(** One line, no trailing newline. *)
+(** One line, no trailing newline: ["verb"], then every field in
+    {!fields} order, then ["trace"] when set. *)
 
 val request_of_json : string -> (request, string) result
-(** Missing fields take their defaults; an unknown verb or trace format
-    is an [Error]. *)
+(** Missing fields take their defaults and unknown fields are ignored.
+    An unknown verb or trace format is an [Error], and so is a field of
+    the wrong JSON type: a string field must be a string, an integer field
+    an integral number ([9] or [9.0]) of magnitude below 2{^53}, the range
+    a JSON number carries exactly.  The error names the field. *)
 
 type status =
   | Ok_         (** executed; [body] is the rendered result *)

@@ -231,6 +231,190 @@ let test_protocol_roundtrip () =
   | Ok resp' -> Alcotest.(check bool) "response round trips" true (resp = resp')
   | Error e -> Alcotest.failf "response rejected: %s" e
 
+let json_string s =
+  let b = Buffer.create 16 in
+  Msoc_obs.Json.escape_to b s;
+  Buffer.contents b
+
+let test_protocol_typed_fields () =
+  let rejects line field =
+    match Protocol.request_of_json line with
+    | Ok _ -> Alcotest.failf "%s must be rejected" line
+    | Error e ->
+      Alcotest.(check bool) (Printf.sprintf "%s: error names %s" line field) true
+        (contains_sub e (Printf.sprintf "field %S" field))
+  in
+  (* each of these was once answered as a different request than sent *)
+  rejects {|{"verb":"faultsim","seed":"7"}|} "seed";
+  rejects {|{"verb":"faultsim","taps":9.7}|} "taps";
+  rejects {|{"verb":"faultsim","samples":1e400}|} "samples";
+  rejects {|{"verb":"montecarlo","trials":9007199254740993}|} "trials";
+  rejects {|{"verb":"plan","topology":5}|} "topology";
+  rejects {|{"verb":"plan","strategy":null}|} "strategy";
+  rejects {|{"verb":"schedule","restarts":true}|} "restarts";
+  rejects {|{"verb":"schedule","soc":["narrow"]}|} "soc";
+  let accepts line want =
+    match Protocol.request_of_json line with
+    | Ok r -> Alcotest.(check bool) (line ^ " parses as intended") true (r = want)
+    | Error e -> Alcotest.failf "%s rejected: %s" line e
+  in
+  accepts {|{"verb":"faultsim","taps":9.0,"seed":-3}|}
+    (Protocol.request ~taps:9 ~seed:(-3) Protocol.Faultsim);
+  accepts {|{"verb":"faultsim","taps":7,"colour":"red","extra":{"n":1.5}}|}
+    (Protocol.request ~taps:7 Protocol.Faultsim);
+  accepts {|{"verb":"plan","topology":"no-such-topology"}|}
+    (Protocol.request ~topology:"no-such-topology" Protocol.Plan)
+
+let test_cache_key_injective () =
+  let key ~topology ~strategy =
+    Protocol.cache_key (Protocol.request ~topology ~strategy Protocol.Plan)
+  in
+  let distinct (t1, s1) (t2, s2) =
+    Alcotest.(check bool)
+      (Printf.sprintf "(%S, %S) and (%S, %S) key apart" t1 s1 t2 s2)
+      false
+      (key ~topology:t1 ~strategy:s1 = key ~topology:t2 ~strategy:s2)
+  in
+  distinct ("x|adaptive", "y") ("x", "adaptive|y");
+  distinct ("1:x|1:y", "") ("1:x", "1:y|");
+  distinct ("", "3:abc") ("3:abc", "")
+
+let bump : type a. a Protocol.kind -> a -> a =
+ fun kind v -> match kind with Protocol.Int -> v + 1 | Protocol.String _ -> v ^ "'"
+
+let test_cache_key_read_set () =
+  List.iter
+    (fun (Protocol.Field f) ->
+      Alcotest.(check bool) (f.name ^ " is read by some verb") true (f.verbs <> []))
+    Protocol.fields;
+  List.iter
+    (fun verb ->
+      let base = Protocol.request verb in
+      let key0 = Protocol.cache_key base in
+      Alcotest.(check bool) "the trace export is not part of the key" true
+        (Protocol.cache_key { base with trace = Some Protocol.Trace_jsonl } = key0);
+      List.iter
+        (fun (Protocol.Field f as field) ->
+          let key = Protocol.cache_key (f.set (bump f.kind (f.get base)) base) in
+          let what = Printf.sprintf "%s/%s" (Protocol.verb_name verb) f.name in
+          match verb with
+          | Protocol.Metrics | Ping | Sleep ->
+            Alcotest.(check (option string)) (what ^ ": never keyed") None key
+          | _ ->
+            Alcotest.(check bool) (what ^ ": key changes iff the verb reads it")
+              (Protocol.reads verb field) (key <> key0))
+        Protocol.fields)
+    Protocol.all_verbs
+
+let test_protocol_pinned_bytes () =
+  Alcotest.(check string) "bare plan"
+    {|{"verb":"plan","topology":"default","strategy":"adaptive","seed":0,"taps":9,"input_bits":10,"coeff_bits":8,"samples":1024,"tones":2,"soc":"reference","restarts":8,"iters":400,"trials":50000,"sleep_ms":50}|}
+    (Protocol.request_to_json (Protocol.request Protocol.Plan));
+  Alcotest.(check string) "non-default faultsim"
+    {|{"verb":"faultsim","topology":"sigma-delta","strategy":"adaptive","seed":3,"taps":5,"input_bits":12,"coeff_bits":6,"samples":256,"tones":1,"soc":"reference","restarts":8,"iters":400,"trials":50000,"sleep_ms":50,"trace":"folded"}|}
+    (Protocol.request_to_json
+       (Protocol.request ~taps:5 ~input_bits:12 ~coeff_bits:6 ~samples:256 ~tones:1
+          ~seed:3 ~topology:"sigma-delta" ~trace:Protocol.Trace_folded Protocol.Faultsim))
+
+(* Generators for the table-wide properties: strings mix arbitrary bytes
+   with delimiters, quotes, escapes, control characters and UTF-8; ints
+   span the exact JSON range. *)
+let max_exact_int = (1 lsl 53) - 1
+
+let gen_field_string =
+  QCheck.Gen.(
+    map String.concat (return "")
+    <*> list_size (0 -- 6)
+          (oneof
+             [ map (String.make 1) char;
+               oneofl [ "|"; ":"; "\""; "\\"; "\n"; "\000"; "\031"; "é"; "日本"; "1:a|" ] ]))
+
+let gen_field_int =
+  QCheck.Gen.(
+    oneof
+      [ small_signed_int;
+        int_range (-max_exact_int) max_exact_int;
+        oneofl [ 0; max_exact_int; -max_exact_int ] ])
+
+let gen_trace_format =
+  QCheck.Gen.oneofl [ Protocol.Trace_jsonl; Protocol.Trace_chrome; Protocol.Trace_folded ]
+
+let gen_request =
+  let open QCheck.Gen in
+  let set r (Protocol.Field f) =
+    match f.kind with
+    | Protocol.Int -> map (fun v -> f.set v r) gen_field_int
+    | Protocol.String _ -> map (fun v -> f.set v r) gen_field_string
+  in
+  List.fold_left
+    (fun acc field -> acc >>= fun r -> set r field)
+    (map2 (fun verb trace -> Protocol.request ?trace verb) (oneofl Protocol.all_verbs)
+       (opt gen_trace_format))
+    Protocol.fields
+
+let prop_protocol_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json round trip, every verb"
+    (QCheck.make ~print:Protocol.request_to_json gen_request)
+    (fun r -> Protocol.request_of_json (Protocol.request_to_json r) = Ok r)
+
+(* [request_of_json] is total: an [Ok] re-emits to itself, anything else
+   is an [Error], and nothing raises. *)
+let parses_totally line =
+  match Protocol.request_of_json line with
+  | Error _ -> true
+  | Ok r -> Protocol.request_of_json (Protocol.request_to_json r) = Ok r
+
+let prop_parser_bytes =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ string_size ~gen:char (0 -- 64);
+          (* near misses: a valid line cut short or with one byte replaced *)
+          map2
+            (fun line (cut, c) ->
+              let n = String.length line in
+              let i = cut mod n in
+              if c = '\000' then String.sub line 0 i
+              else String.mapi (fun j x -> if j = i then c else x) line)
+            (map Protocol.request_to_json gen_request)
+            (pair nat char) ])
+  in
+  QCheck.Test.make ~count:1000 ~name:"parser total on byte strings"
+    (QCheck.make ~print:String.escaped gen) parses_totally
+
+let prop_parser_objects =
+  let open QCheck.Gen in
+  let field_names = List.map (fun (Protocol.Field f) -> f.name) Protocol.fields in
+  let leaf =
+    oneof
+      [ oneofl [ "null"; "true"; "false"; "9.0"; "-0"; "1e400"; "9007199254740993"; "0.5" ];
+        map string_of_int gen_field_int;
+        map (Printf.sprintf "%.17g") float;
+        map json_string gen_field_string;
+        map json_string (oneofl (List.map Protocol.verb_name Protocol.all_verbs)) ]
+  in
+  let obj members = "{" ^ String.concat "," members ^ "}" in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (4, leaf);
+                 (1, map (fun l -> "[" ^ String.concat "," l ^ "]")
+                       (list_size (0 -- 3) (self (n / 4))));
+                 (1, map obj (list_size (0 -- 3) (map2 (fun k v -> json_string k ^ ":" ^ v)
+                                                    gen_field_string (self (n / 4))))) ])
+  in
+  let key = frequency [ (4, oneofl ("verb" :: "trace" :: field_names)); (1, gen_field_string) ] in
+  let member = map2 (fun k v -> json_string k ^ ":" ^ v) key value in
+  let verb =
+    map (fun v -> {|"verb":|} ^ json_string (Protocol.verb_name v)) (oneofl Protocol.all_verbs)
+  in
+  let gen = map2 (fun v rest -> obj (v :: rest)) verb (list_size (0 -- 8) member) in
+  QCheck.Test.make ~count:1000 ~name:"parser total on json objects"
+    (QCheck.make ~print:(fun s -> s) gen) parses_totally
+
 (* ---- backpressure ---- *)
 
 let read_lines fd want =
@@ -767,7 +951,12 @@ let () =
             test_workq_overload_accounting ] );
       ("workq-properties", qcheck [ prop_workq_exactly_once ]);
       ( "protocol",
-        [ Alcotest.test_case "request/response round trip" `Quick test_protocol_roundtrip ] );
+        [ Alcotest.test_case "request/response round trip" `Quick test_protocol_roundtrip;
+          Alcotest.test_case "typed fields are checked" `Quick test_protocol_typed_fields;
+          Alcotest.test_case "cache key is injective" `Quick test_cache_key_injective;
+          Alcotest.test_case "cache key is the read set" `Quick test_cache_key_read_set;
+          Alcotest.test_case "emitted bytes are pinned" `Quick test_protocol_pinned_bytes ]
+        @ qcheck [ prop_protocol_roundtrip; prop_parser_bytes; prop_parser_objects ] );
       ( "daemon",
         [ Alcotest.test_case "queue-full backpressure" `Quick test_backpressure;
           Alcotest.test_case "plan byte-identity across pool sizes" `Quick
