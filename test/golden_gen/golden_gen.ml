@@ -4,8 +4,9 @@
 
    Each capture is fully deterministic: nominal part, fixed engine and
    annealing seeds, coherent stimulus at the standard test level, and the
-   canonical schedule parameters (8 restarts, 400 iterations) — the same
-   strings the golden tests rebuild and compare byte-for-byte. *)
+   canonical schedule parameters (8 restarts, 400 iterations), and the
+   faultsim verb bodies of the sweep shapes — the same strings the golden
+   tests rebuild and compare byte-for-byte. *)
 module Path = Msoc_analog.Path
 module Context = Msoc_analog.Context
 module Tone = Msoc_dsp.Tone
@@ -67,6 +68,25 @@ let tester_codes () =
   emit "sampled" (Path.sample_part path (Prng.create 7));
   Buffer.contents buffer
 
+(* The faultsim bodies pinned by test_golden: every sweep shape (taps
+   5/9/13 x samples 256/512) at seed 11 with one and two tones, plus the
+   default request.  Bodies are identical at every pool size. *)
+module Protocol = Msoc_serve.Protocol
+
+let faultsim_fixtures =
+  ("faultsim_default.txt", Protocol.request Protocol.Faultsim)
+  :: List.concat_map
+       (fun taps ->
+         List.concat_map
+           (fun samples ->
+             List.map
+               (fun tones ->
+                 ( Printf.sprintf "faultsim_t%d_s%d_k%d.txt" taps samples tones,
+                   Protocol.request ~taps ~samples ~tones ~seed:11 Protocol.Faultsim ))
+               [ 1; 2 ])
+           [ 256; 512 ])
+       [ 5; 9; 13 ]
+
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   write dir "plan_adaptive.txt" (plan_text Propagate.Adaptive);
@@ -87,4 +107,8 @@ let () =
   let annealed = Schedule.anneal problem in
   write dir "soc_schedule.txt" (Schedule.render problem ~greedy ~annealed);
   write dir "soc_breakdown.txt" (Schedule.breakdown problem);
-  write dir "soc_audit.json" soc_audit
+  write dir "soc_audit.json" soc_audit;
+  let pool = Msoc_util.Pool.get_default () in
+  List.iter
+    (fun (name, req) -> write dir name (Msoc_serve.Verbs.run ~pool req))
+    faultsim_fixtures

@@ -2,7 +2,8 @@
    synthesized plan text (both strategies), the adaptive audit trail, the
    virtual tester's ADC codes, and the reference SOC's schedule table,
    per-core application-time breakdown, and audit JSON at the canonical
-   annealing parameters.  The receiver fixtures under golden/ were captured
+   annealing parameters, and the faultsim verb bodies of the benchmark's
+   sweep shapes plus the default request.  The receiver fixtures under golden/ were captured
    before the stage-graph refactor; byte-identity here is the proof that the
    generic core reproduces the historical five-block receiver exactly.
    Regenerate with: dune exec test/golden_gen/golden_gen.exe -- test/golden *)
@@ -121,6 +122,33 @@ let test_soc_audit () =
   in
   check_bytes "soc_audit.json" (json ^ "\n")
 
+(* ---- faultsim verb bodies: mirrors [faultsim_fixtures] in golden_gen ---- *)
+
+module Protocol = Msoc_serve.Protocol
+
+let faultsim_case name req =
+  Alcotest.test_case name `Quick (fun () ->
+      let fixture =
+        if req = Protocol.request Protocol.Faultsim then "faultsim_default.txt"
+        else Printf.sprintf "faultsim_t%d_s%d_k%d.txt" req.Protocol.taps req.samples req.tones
+      in
+      check_bytes fixture (Msoc_serve.Verbs.run ~pool:(Msoc_util.Pool.get_default ()) req))
+
+let faultsim_cases =
+  faultsim_case "default request" (Protocol.request Protocol.Faultsim)
+  :: List.concat_map
+       (fun taps ->
+         List.concat_map
+           (fun samples ->
+             List.map
+               (fun tones ->
+                 faultsim_case
+                   (Printf.sprintf "taps %d samples %d tones %d" taps samples tones)
+                   (Protocol.request ~taps ~samples ~tones ~seed:11 Protocol.Faultsim))
+               [ 1; 2 ])
+           [ 256; 512 ])
+       [ 5; 9; 13 ]
+
 let () =
   Alcotest.run "golden"
     [ ( "default-receiver",
@@ -131,4 +159,5 @@ let () =
       ( "reference-soc",
         [ Alcotest.test_case "schedule table" `Quick test_soc_schedule;
           Alcotest.test_case "per-core breakdown" `Quick test_soc_breakdown;
-          Alcotest.test_case "audit JSON" `Quick test_soc_audit ] ) ]
+          Alcotest.test_case "audit JSON" `Quick test_soc_audit ] );
+      ("faultsim-bodies", faultsim_cases) ]
