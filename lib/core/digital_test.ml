@@ -34,10 +34,17 @@ let default_config =
     uncertainty_margin_db = 8.0;
     exclude_half_width = 3 }
 
-let build config =
+let coefficient_codes config =
   let design = Fir.lowpass ~taps:config.taps ~cutoff:config.cutoff () in
-  let codes, scale = Fir.quantize design.Fir.taps ~bits:config.coeff_bits in
+  Fir.quantize design.Fir.taps ~bits:config.coeff_bits
+
+let build config =
+  let codes, scale = coefficient_codes config in
   Fir_netlist.create ~coeffs:codes ~width_in:config.input_bits ~scale ()
+
+let output_width config =
+  Fir_netlist.output_width ~coeffs:(fst (coefficient_codes config))
+    ~width_in:config.input_bits
 
 let collapsed_faults fir =
   let circuit = fir.Fir_netlist.circuit in
@@ -190,6 +197,9 @@ let max_deviation good faulty =
     good;
   !dev
 
+(* Order-sensitive hash of a whole stream, for grouping identical streams. *)
+let stream_hash stream = Array.fold_left (fun h v -> (h * 31) + v) 17 stream
+
 let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs
     ~faults =
   let samples = Array.length input_codes in
@@ -204,60 +214,71 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
   let floor_db =
     noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_codes ~golden
   in
-  let detected_flags = Array.make (Array.length faults) false in
-  let undetected = ref [] and undetected_dev = ref [] in
-  Progress.set prog_judged_total (float_of_int (Array.length faults));
+  let nf = Array.length faults in
+  Progress.set prog_judged_total (float_of_int nf);
+  (* A verdict is a pure function of the stream, so each distinct stream
+     is judged once: the fault-free stream once per call (every fault that
+     never disturbs the output shares it), and identical streams within a
+     batch once per batch. *)
   let judge stream =
     let spectrum = output_spectrum config fir ~sample_rate stream in
-    let verdict =
-      if spectra_differ config ~floor_db ~excluded golden spectrum then (true, 0.0)
-      else begin
-        let dev = max_deviation good_actual_stream stream in
-        (false, float_of_int dev *. fir.Fir_netlist.scale)
-      end
-    in
-    (* heartbeat: atomic adds, safe from any judging domain *)
+    if spectra_differ config ~floor_db ~excluded golden spectrum then (true, 0.0)
+    else begin
+      let dev = max_deviation good_actual_stream stream in
+      (false, float_of_int dev *. fir.Fir_netlist.scale)
+    end
+  in
+  let good_verdict = judge good_actual_stream in
+  let detected_flags = Array.make nf false and devs = Array.make nf 0.0 in
+  let judged = Array.make nf false in
+  (* written by fault index, so batches judged on different domains never
+     contend; heartbeat cells are atomic *)
+  let record i (hit, dev) =
+    detected_flags.(i) <- hit;
+    devs.(i) <- dev;
+    judged.(i) <- true;
     Progress.add prog_judged 1.0;
-    if fst verdict then Progress.add prog_hits 1.0;
-    verdict
+    if hit then Progress.add prog_hits 1.0
+  in
+  let on_batch idx streams =
+    let seen = Hashtbl.create (Array.length idx) in
+    Array.iteri
+      (fun lane i ->
+        let stream = streams.(lane) in
+        let verdict =
+          if stream = good_actual_stream then good_verdict
+          else begin
+            let h = stream_hash stream in
+            match
+              List.find_opt (fun (s, _) -> s = stream) (Hashtbl.find_all seen h)
+            with
+            | Some (_, v) -> v
+            | None ->
+              let v = judge stream in
+              Hashtbl.add seen h (stream, v);
+              v
+          end
+        in
+        record i verdict)
+      idx
   in
   let drive sim cycle = Fir_netlist.drive fir sim input_codes.(cycle) in
-  (match pool with
-  | Some pool when Msoc_util.Pool.size pool > 1 && Array.length faults > 0 ->
-    (* Pooled path: fault-simulate the batches across domains, then judge
-       each captured stream (windowed FFT + bin-wise comparison) across
-       domains as well.  Verdicts land in fault order, so the detection
-       record is identical to the streaming serial path. *)
-    let result =
-      Fault_sim.run ~pool fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
-        ~samples ~faults
-    in
-    let verdicts =
-      Msoc_util.Pool.parallel_init pool (Array.length faults) (fun i ->
-          judge result.Fault_sim.fault_streams.(i))
-    in
-    Array.iteri
-      (fun i (hit, dev) ->
-        if hit then detected_flags.(i) <- true
-        else begin
-          undetected := faults.(i) :: !undetected;
-          undetected_dev := dev :: !undetected_dev
-        end)
-      verdicts
-  | Some _ | None ->
-    let on_fault index fault stream =
-      let hit, dev = judge stream in
-      if hit then detected_flags.(index) <- true
-      else begin
-        undetected := fault :: !undetected;
-        undetected_dev := dev :: !undetected_dev
-      end
-    in
-    let (_ : int array) =
-      Fault_sim.run_fold fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
-        ~samples ~faults ~on_fault
-    in
-    ());
+  let good_stream =
+    Fault_sim.run_batches ?pool fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name
+      ~drive ~samples ~faults ~on_batch
+  in
+  (* faults outside every batch carry the netlist's fault-free stream *)
+  let unsimulated =
+    lazy (if good_stream = good_actual_stream then good_verdict else judge good_stream)
+  in
+  Array.iteri (fun i j -> if not j then record i (Lazy.force unsimulated)) judged;
+  let undetected = ref [] and undetected_dev = ref [] in
+  for i = nf - 1 downto 0 do
+    if not detected_flags.(i) then begin
+      undetected := faults.(i) :: !undetected;
+      undetected_dev := devs.(i) :: !undetected_dev
+    end
+  done;
   let detected = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 detected_flags in
   let reported_floor =
     let worst = ref neg_infinity in
@@ -269,8 +290,8 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
   { total = Array.length faults;
     detected;
     coverage = float_of_int detected /. float_of_int (max 1 (Array.length faults));
-    undetected = Array.of_list (List.rev !undetected);
-    undetected_max_dev_lsb = Array.of_list (List.rev !undetected_dev);
+    undetected = Array.of_list !undetected;
+    undetected_max_dev_lsb = Array.of_list !undetected_dev;
     noise_floor_db = reported_floor }
 
 let false_alarm config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs

@@ -39,6 +39,10 @@ val default_config : config
 val build : config -> Fir_netlist.t
 (** Synthesise the gate-level filter from a windowed-sinc design. *)
 
+val output_width : config -> int
+(** Width of the output bus {!build} would synthesise, without building
+    it. *)
+
 val collapsed_faults : Fir_netlist.t -> Fault.t array
 
 val activated :
@@ -99,12 +103,12 @@ val spectral_coverage :
 (** Fault-simulate every fault under [input_codes]; the golden spectrum
     comes from [reference_codes] through the behavioural model (the paper
     uses an ideal stimulus for the good-circuit simulation and the
-    realistic analog model for the faulty ones).  With [pool], both the
-    fault simulation (batches) and the per-fault spectrum analysis run
-    across domains; the detection record is identical to the serial path
-    for every pool size.  The pooled path holds every fault stream in
-    memory at once (faults x samples ints) where the serial path streams
-    batch by batch. *)
+    realistic analog model for the faulty ones).  With [pool], fault
+    batches are simulated across domains and each batch's streams are
+    judged by the worker that captured them, so no per-fault stream array
+    is ever held; the detection record is identical for every pool size.
+    A verdict is a pure function of the stream, so the fault-free stream is
+    judged once per call and identical streams once per batch. *)
 
 val false_alarm :
   config ->

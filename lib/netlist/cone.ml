@@ -101,15 +101,15 @@ let reduce circuit sc ~succ ~observable ~sources ~output =
   for x = 0 to n - 1 do
     if member x then
       match Netlist.kind circuit x with
-      | Netlist.Input -> inputs := x :: !inputs
+      | Netlist.Input | Netlist.Const0 | Netlist.Const1 ->
+        (* Constants have no fanin, so only a fault source makes one a
+           member; like an input it loads its fault-free bit, then masks. *)
+        inputs := x :: !inputs
       | Netlist.Dff ->
         let d = Netlist.fanin0 circuit x in
         dffs := x :: !dffs;
         dff_d := d :: !dff_d;
         add_boundary d
-      | Netlist.Const0 | Netlist.Const1 ->
-        (* Constants have no fanin, so they are never reached by the BFS. *)
-        assert false
       | _ -> ()
   done;
   (* Program: member combinational gates in global eval order, reading
@@ -139,7 +139,10 @@ let reduce circuit sc ~succ ~observable ~sources ~output =
         incr pos
       end)
     order;
-  let outputs = Array.of_list (List.filter member (Array.to_list output)) in
+  let outputs =
+    Array.of_list
+      (List.filter (fun w -> member output.(w)) (List.init (Array.length output) Fun.id))
+  in
   { prog_op;
     prog_dst;
     prog_a;

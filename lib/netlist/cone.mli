@@ -28,12 +28,14 @@ type reduced = {
   boundary : int array; (** Non-member nodes read by the cone (gate fanins
                             and D inputs of member DFFs): load the
                             broadcast fault-free value each cycle. *)
-  inputs : int array;   (** Member [Input] nodes: broadcast fault-free
-                            value, then apply the fault masks. *)
+  inputs : int array;   (** Member [Input] and constant nodes: broadcast
+                            fault-free value, then apply the fault masks. *)
   dffs : int array;     (** Member DFF nodes, ascending by node id. *)
   dff_d : int array;    (** D driver of [dffs.(j)] (member or boundary). *)
-  outputs : int array;  (** Member nodes of the observed output bus, the
-                            only places detection can happen. *)
+  outputs : int array;  (** Positions in the output bus whose node is a
+                            member: the only bus bits a fault of the batch
+                            can change.  Every other bit carries its
+                            fault-free value in every lane. *)
 }
 
 type scratch

@@ -28,6 +28,16 @@ let role_name = function
   | Register -> "register"
   | Adder -> "adder"
 
+(* Width of a signed bus holding any bound * x for a [width_in]-bit input
+   x, i.e. any magnitude up to bound * 2^(width_in - 1): the binary digits
+   of the bound plus [width_in] (computed without forming the product). *)
+let bound_width ~width_in bound =
+  let rec digits v acc = if v = 0 then acc else digits (v lsr 1) (acc + 1) in
+  digits (max bound 1) 0 + width_in
+
+let output_width ~coeffs ~width_in =
+  bound_width ~width_in (Array.fold_left (fun acc c -> acc + abs c) 0 coeffs)
+
 let create ~coeffs ~width_in ?(scale = 1.0) ?(architecture = Transposed) () =
   let taps = Array.length coeffs in
   if taps < 1 then invalid_arg "Fir_netlist.create: no taps";
@@ -36,14 +46,9 @@ let create ~coeffs ~width_in ?(scale = 1.0) ?(architecture = Transposed) () =
      bounded by (sum_{j>=k} |c_j|) * |x|_max, so the register/adder chain
      grows only as far as that suffix bound requires — no dead constant
      sign bits for stuck-at faults to hide on. *)
-  let bits_for_magnitude m =
-    let rec loop v acc = if v = 0 then acc else loop (v lsr 1) (acc + 1) in
-    loop (max m 1) 0 + 1
-  in
-  let max_x = 1 lsl (width_in - 1) in
   let suffix_width k =
     let rec total j = if j >= taps then 0 else abs coeffs.(j) + total (j + 1) in
-    bits_for_magnitude (max 1 (total k) * max_x)
+    bound_width ~width_in (total k)
   in
   let width_acc = suffix_width 0 in
   let b = B.create () in
@@ -104,7 +109,7 @@ let create ~coeffs ~width_in ?(scale = 1.0) ?(architecture = Transposed) () =
             | [ last ], [ bound ] -> (List.rev (last :: acc_nodes), List.rev (bound :: acc_bounds))
             | a :: c :: rest, ba :: bc :: brest ->
               let bound = ba + bc in
-              let width = bits_for_magnitude (bound * max_x) in
+              let width = bound_width ~width_in bound in
               let sum =
                 record index Adder (fun () -> Arith.add_signed b a c ~width)
               in

@@ -53,6 +53,11 @@ val create :
     [y(n) = sum_k c_k x(n-k)] with zero latency, so {!response} is the
     golden model for either. *)
 
+val output_width : coeffs:int array -> width_in:int -> int
+(** Width of the output (accumulator) bus {!create} builds for these
+    coefficients and input width — computable before building, and
+    without overflow for any width. *)
+
 val input_bus : t -> Netlist.node array
 val output_bus : t -> Netlist.node array
 

@@ -101,13 +101,13 @@ let fields =
       "Seed of the sampled part, stimulus phases, Monte-Carlo generator or annealer; \
        0 means the nominal part or the canonical seed."
       (fun r -> r.seed) (fun v r -> { r with seed = v });
-    int "taps" [ Faultsim ] 9 "FIR tap count." (fun r -> r.taps)
+    int "taps" [ Faultsim ] 9 "FIR tap count (at least 1)." (fun r -> r.taps)
       (fun v r -> { r with taps = v });
-    int "input_bits" [ Faultsim ] 10 "FIR input bus width." (fun r -> r.input_bits)
+    int "input_bits" [ Faultsim ] 10 "FIR input bus width (at least 2)." (fun r -> r.input_bits)
       (fun v r -> { r with input_bits = v });
-    int "coeff_bits" [ Faultsim ] 8 "FIR coefficient width." (fun r -> r.coeff_bits)
+    int "coeff_bits" [ Faultsim ] 8 "FIR coefficient width (2 to 30)." (fun r -> r.coeff_bits)
       (fun v r -> { r with coeff_bits = v });
-    int "samples" [ Faultsim ] 1024 "Test pattern count." (fun r -> r.samples)
+    int "samples" [ Faultsim ] 1024 "Test pattern count (at least 64)." (fun r -> r.samples)
       (fun v r -> { r with samples = v });
     int "tones" [ Faultsim ] 2 "Stimulus tone count (1 or 2)." (fun r -> r.tones)
       (fun v r -> { r with tones = v });

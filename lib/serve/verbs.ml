@@ -74,13 +74,34 @@ let measure ~pool:_ (req : Protocol.request) =
         req.seed
       ^ Texttable.render tbl)
 
-let faultsim ~pool (req : Protocol.request) =
+(* The faultsim parameters the pipeline can run, checked up front so a bad
+   request fails with the field's name rather than an assertion deep in
+   the filter design or the fault simulator. *)
+let faultsim_config (req : Protocol.request) =
+  let reject fmt = Printf.ksprintf failwith ("faultsim: " ^^ fmt) in
+  if req.tones <> 1 && req.tones <> 2 then reject "tones must be 1 or 2 (got %d)" req.tones;
+  if req.samples < 64 then reject "samples must be at least 64 (got %d)" req.samples;
+  if req.taps < 1 then reject "taps must be at least 1 (got %d)" req.taps;
+  if req.input_bits < 2 then reject "input_bits must be at least 2 (got %d)" req.input_bits;
+  if req.coeff_bits < 2 || req.coeff_bits > 30 then
+    reject "coeff_bits must be between 2 and 30 (got %d)" req.coeff_bits;
   let config =
     { Digital_test.default_config with
       Digital_test.taps = req.taps;
       input_bits = req.input_bits;
       coeff_bits = req.coeff_bits }
   in
+  (* a stream sample is the output bus read as a signed native int *)
+  let width = Digital_test.output_width config in
+  if width > Sys.int_size - 1 then
+    reject
+      "input_bits %d gives a %d-bit output bus (taps %d, coeff_bits %d); it must fit the \
+       %d-bit lane word, at most %d bits"
+      req.input_bits width req.taps req.coeff_bits Sys.int_size (Sys.int_size - 1);
+  config
+
+let faultsim ~pool (req : Protocol.request) =
+  let config = faultsim_config req in
   let fir, faults, det =
     Obs.span "serve.execute" (fun () ->
         let fir = Digital_test.build config in
@@ -90,13 +111,13 @@ let faultsim ~pool (req : Protocol.request) =
           Digital_test.coherent_tone ~sample_rate:fs ~samples:req.samples ~target:90e3
         in
         let freqs =
-          if req.tones <= 1 then [ f1 ]
+          if req.tones = 1 then [ f1 ]
           else
             [ f1;
               Digital_test.coherent_tone ~sample_rate:fs ~samples:req.samples
                 ~target:110e3 ]
         in
-        let amplitude_fs = 0.9 /. float_of_int (max 1 req.tones) in
+        let amplitude_fs = 0.9 /. float_of_int req.tones in
         (* seed 0 keeps the historical zero-phase stimulus; any other seed
            draws reproducible random tone phases *)
         let rng = if req.seed = 0 then None else Some (Prng.create req.seed) in

@@ -20,7 +20,7 @@ val run : pool:Msoc_util.Pool.t -> Protocol.request -> string
 (** Execute the request's verb and return the rendered body text.
 
     @raise Failure on bad request parameters (unknown topology, strategy
-    or SOC name).
+    or SOC name; a faultsim field out of range, named in the message).
     @raise Invalid_argument when the verb is not a compute verb
     (Metrics/Ping/Sleep read daemon state and live in the server). *)
 

@@ -3,8 +3,8 @@
    virtual tester's ADC codes, and the reference SOC's schedule table,
    per-core application-time breakdown, and audit JSON at the canonical
    annealing parameters, and the faultsim verb bodies of the benchmark's
-   sweep shapes plus the default request.  The receiver fixtures under golden/ were captured
-   before the stage-graph refactor; byte-identity here is the proof that the
+   sweep shapes plus the default request.  The receiver fixtures under
+   golden/ were captured before the stage-graph refactor; byte-identity here is the proof that the
    generic core reproduces the historical five-block receiver exactly.
    Regenerate with: dune exec test/golden_gen/golden_gen.exe -- test/golden *)
 
@@ -126,28 +126,27 @@ let test_soc_audit () =
 
 module Protocol = Msoc_serve.Protocol
 
-let faultsim_case name req =
-  Alcotest.test_case name `Quick (fun () ->
-      let fixture =
-        if req = Protocol.request Protocol.Faultsim then "faultsim_default.txt"
-        else Printf.sprintf "faultsim_t%d_s%d_k%d.txt" req.Protocol.taps req.samples req.tones
-      in
-      check_bytes fixture (Msoc_serve.Verbs.run ~pool:(Msoc_util.Pool.get_default ()) req))
-
-let faultsim_cases =
-  faultsim_case "default request" (Protocol.request Protocol.Faultsim)
+let faultsim_fixtures =
+  ("default request", "faultsim_default.txt", Protocol.request Protocol.Faultsim)
   :: List.concat_map
        (fun taps ->
          List.concat_map
            (fun samples ->
              List.map
                (fun tones ->
-                 faultsim_case
-                   (Printf.sprintf "taps %d samples %d tones %d" taps samples tones)
-                   (Protocol.request ~taps ~samples ~tones ~seed:11 Protocol.Faultsim))
+                 ( Printf.sprintf "taps %d samples %d tones %d" taps samples tones,
+                   Printf.sprintf "faultsim_t%d_s%d_k%d.txt" taps samples tones,
+                   Protocol.request ~taps ~samples ~tones ~seed:11 Protocol.Faultsim ))
                [ 1; 2 ])
            [ 256; 512 ])
        [ 5; 9; 13 ]
+
+let faultsim_cases =
+  List.map
+    (fun (name, fixture, req) ->
+      Alcotest.test_case name `Quick (fun () ->
+          check_bytes fixture (Msoc_serve.Verbs.run ~pool:(Msoc_util.Pool.get_default ()) req)))
+    faultsim_fixtures
 
 let () =
   Alcotest.run "golden"

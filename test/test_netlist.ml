@@ -806,6 +806,261 @@ let test_atpg_last_useful_pattern_compacts () =
   Alcotest.(check (array bool)) "compacted sweep detects the same set"
     r.Atpg_lite.detected_flags compacted.Atpg_lite.detected_flags
 
+(* ---- Stream capture: every fault against a single-fault reference ---- *)
+
+module Pool = Msoc_util.Pool
+
+let capture_pools = [ 1; 2; 4 ]
+
+(* What the capture engine must reproduce: a dedicated full-netlist
+   simulation with only [fault] injected, or none. *)
+let reference_stream circuit ~output ~drive ~samples fault =
+  let sim = Logic_sim.create circuit in
+  Option.iter
+    (fun (f : Fault.t) -> Logic_sim.inject sim ~node:f.Fault.node ~lane:0 ~stuck:f.Fault.stuck)
+    fault;
+  let bus = Netlist.find_output circuit output in
+  Array.init samples (fun cycle ->
+      drive sim cycle;
+      Logic_sim.eval sim;
+      let y = Logic_sim.read_bus_lane sim bus ~lane:0 in
+      Logic_sim.tick sim;
+      y)
+
+let faults_of_kinds circuit kinds =
+  List.concat_map
+    (fun node ->
+      if List.mem (Netlist.kind circuit node) kinds then
+        [ { Fault.node; stuck = false }; { Fault.node; stuck = true } ]
+      else [])
+    (List.init (Netlist.node_count circuit) Fun.id)
+  |> Array.of_list
+
+(* A random sequential circuit: gates, inverters and DFFs over earlier
+   nodes (inputs and constants included), a 6-bit output bus, and logic
+   that reaches no output, whose faults are unobservable. *)
+let random_sequential seed =
+  let g = Prng.create seed in
+  let b = B.create () in
+  let x = Array.init 4 (fun i -> B.input b (Printf.sprintf "x%d" i)) in
+  let nodes = ref (Array.append x [| B.const b false; B.const b true |]) in
+  let pick () = !nodes.(Prng.int g (Array.length !nodes)) in
+  let kinds = [| Netlist.And2; Netlist.Or2; Netlist.Nand2; Netlist.Nor2; Netlist.Xor2;
+                 Netlist.Xnor2 |] in
+  for _ = 1 to 60 do
+    let node =
+      match Prng.int g 6 with
+      | 0 -> B.dff b (pick ())
+      | 1 -> B.not_ b (pick ())
+      | _ -> B.gate2 b kinds.(Prng.int g 6) (pick ()) (pick ())
+    in
+    nodes := Array.append !nodes [| node |]
+  done;
+  let y = Array.init 6 (fun _ -> pick ()) in
+  let dangling = B.gate2 b Netlist.And2 (pick ()) (B.dff b (pick ())) in
+  B.output b "y" y;
+  (Netlist.freeze b, x, dangling)
+
+(* Run [Fault_sim.run] at every pool size and check every fault's stream,
+   and the fault-free one, against the single-fault reference. *)
+let check_every_stream circuit ~drive ~samples ~faults =
+  let reference = reference_stream circuit ~output:"y" ~drive ~samples in
+  let good = reference None in
+  let expected = Array.map (fun f -> reference (Some f)) faults in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let r = Fault_sim.run ~pool circuit ~output:"y" ~drive ~samples ~faults in
+          Alcotest.(check (array int))
+            (Printf.sprintf "pool %d good stream" size)
+            good r.Fault_sim.good_stream;
+          Array.iteri
+            (fun i want ->
+              if r.Fault_sim.fault_streams.(i) <> want then
+                Alcotest.failf "pool %d: fault %d (%a) stream differs from the reference" size
+                  i Fault.pp faults.(i))
+            expected))
+    capture_pools
+
+let test_capture_fir_every_fault () =
+  (* every fault of the FIR — collapsed faults plus every Input and DFF
+     fault, over several batches — at a sample count that is not a
+     multiple of the 32-cycle chunk *)
+  let fir = small_fir () in
+  let circuit = fir.Fir_netlist.circuit in
+  let faults =
+    Array.append
+      (Fault.collapse circuit (Fault.universe circuit))
+      (faults_of_kinds circuit [ Netlist.Input; Netlist.Dff ])
+  in
+  let output = Netlist.find_output circuit "y" in
+  let observable = Cone.observable circuit ~output in
+  let simulated =
+    Array.fold_left (fun n (f : Fault.t) -> if observable.(f.Fault.node) then n + 1 else n)
+      0 faults
+  in
+  Alcotest.(check bool) "at least 3 batches" true (simulated > 2 * Logic_sim.lanes);
+  let g = Prng.create 77 in
+  let samples = 77 in
+  let stimulus = Array.init samples (fun _ -> Prng.int g 63 - 31) in
+  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
+  check_every_stream circuit ~drive ~samples ~faults
+
+let test_capture_random_every_fault () =
+  (* random sequential circuits: faults on inputs, constants, DFFs and
+     logic that reaches no output *)
+  List.iter
+    (fun seed ->
+      let circuit, x, dangling = random_sequential seed in
+      let faults =
+        Array.concat
+          [ Fault.universe circuit;
+            faults_of_kinds circuit [ Netlist.Const0; Netlist.Const1 ] ]
+      in
+      let observable = Cone.observable circuit ~output:(Netlist.find_output circuit "y") in
+      Alcotest.(check bool) "dangling logic is unobservable" false observable.(dangling);
+      let g = Prng.create (seed + 1) in
+      let samples = 77 in
+      let stimulus = Array.init samples (fun _ -> Prng.int g 16) in
+      let drive sim cycle = Logic_sim.drive_bus sim x stimulus.(cycle) in
+      check_every_stream circuit ~drive ~samples ~faults)
+    [ 1; 2; 3; 4 ]
+
+let test_capture_unobservable_fresh () =
+  let circuit, x, dangling = random_sequential 5 in
+  let faults = [| { Fault.node = dangling; stuck = true }; { Fault.node = dangling; stuck = false } |] in
+  let drive sim cycle = Logic_sim.drive_bus sim x (cycle land 15) in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let r = Fault_sim.run ~pool circuit ~output:"y" ~drive ~samples:40 ~faults in
+          Array.iter
+            (fun s ->
+              Alcotest.(check (array int)) "fault-free stream" r.Fault_sim.good_stream s;
+              if s == r.Fault_sim.good_stream then Alcotest.fail "aliases the good stream")
+            r.Fault_sim.fault_streams;
+          if r.Fault_sim.fault_streams.(0) == r.Fault_sim.fault_streams.(1) then
+            Alcotest.fail "two faults share one stream array"))
+    capture_pools
+
+let test_capture_empty_faults () =
+  let fir = small_fir () in
+  let circuit = fir.Fir_netlist.circuit in
+  let stimulus = Array.init 77 (fun i -> ((i * 13) mod 63) - 31) in
+  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
+  let good = Fir_netlist.response fir stimulus in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let r = Fault_sim.run ~pool circuit ~output:"y" ~drive ~samples:77 ~faults:[||] in
+          Alcotest.(check (array int)) "good stream" good r.Fault_sim.good_stream;
+          Alcotest.(check int) "no streams" 0 (Array.length r.Fault_sim.fault_streams);
+          let calls = ref 0 in
+          let g =
+            Fault_sim.run_batches ~pool circuit ~output:"y" ~drive ~samples:77 ~faults:[||]
+              ~on_batch:(fun _ _ -> incr calls)
+          in
+          Alcotest.(check (array int)) "run_batches good stream" good g;
+          Alcotest.(check int) "no batch" 0 !calls))
+    capture_pools;
+  let g =
+    Fault_sim.run_fold circuit ~output:"y" ~drive ~samples:77 ~faults:[||]
+      ~on_fault:(fun _ _ _ -> Alcotest.fail "no fault to report")
+  in
+  Alcotest.(check (array int)) "run_fold good stream" good g
+
+let test_capture_fold_and_batches () =
+  (* run_fold reports every fault in order, unobservable ones included;
+     run_batches reports each simulated fault exactly once, by index *)
+  let circuit, x, dangling = random_sequential 6 in
+  let faults =
+    Array.append [| { Fault.node = dangling; stuck = true } |] (Fault.universe circuit)
+  in
+  let drive sim cycle = Logic_sim.drive_bus sim x ((cycle * 7) land 15) in
+  let samples = 77 in
+  let r = Fault_sim.run circuit ~output:"y" ~drive ~samples ~faults in
+  let next = ref 0 in
+  let good =
+    Fault_sim.run_fold circuit ~output:"y" ~drive ~samples ~faults
+      ~on_fault:(fun i f stream ->
+        Alcotest.(check int) "fault order" !next i;
+        if not (Fault.equal f faults.(i)) then Alcotest.fail "fault mismatch";
+        if stream <> r.Fault_sim.fault_streams.(i) then Alcotest.failf "fault %d stream" i;
+        incr next)
+  in
+  Alcotest.(check int) "every fault reported" (Array.length faults) !next;
+  Alcotest.(check (array int)) "good stream" r.Fault_sim.good_stream good;
+  let observable = Cone.observable circuit ~output:(Netlist.find_output circuit "y") in
+  Pool.with_pool ~size:2 (fun pool ->
+      let seen = Array.make (Array.length faults) 0 in
+      let mutex = Mutex.create () in
+      let (_ : int array) =
+        Fault_sim.run_batches ~pool circuit ~output:"y" ~drive ~samples ~faults
+          ~on_batch:(fun idx streams ->
+            Mutex.protect mutex (fun () ->
+                Array.iteri
+                  (fun lane i ->
+                    seen.(i) <- seen.(i) + 1;
+                    if streams.(lane) <> r.Fault_sim.fault_streams.(i) then
+                      Alcotest.failf "batch stream of fault %d" i)
+                  idx))
+      in
+      Array.iteri
+        (fun i (f : Fault.t) ->
+          Alcotest.(check int)
+            (Printf.sprintf "fault %d reported once iff observable" i)
+            (if observable.(f.Fault.node) then 1 else 0)
+            seen.(i))
+        faults)
+
+let test_capture_spectral_coverage_telemetry () =
+  (* one spectral_coverage call is one capture run at every pool size,
+     and the judging heartbeat advances once per fault even though
+     identical streams share one verdict *)
+  let module Digital_test = Msoc_synth.Digital_test in
+  let module Obs = Msoc_obs.Obs in
+  let module Progress = Msoc_obs.Progress in
+  let config =
+    { Digital_test.default_config with Digital_test.taps = 5; input_bits = 8; coeff_bits = 6 }
+  in
+  let fir = Digital_test.build config in
+  let faults = Digital_test.collapsed_faults fir in
+  let nf = Array.length faults in
+  let fs = 1e6 and samples = 128 in
+  let tone = Digital_test.coherent_tone ~sample_rate:fs ~samples ~target:90e3 in
+  let codes =
+    Digital_test.ideal_codes config ~sample_rate:fs ~samples ~freqs:[ tone ] ~amplitude_fs:0.9
+  in
+  let coverage pool =
+    Digital_test.spectral_coverage ~pool config fir ~sample_rate:fs ~input_codes:codes
+      ~reference_codes:codes ~tone_freqs:[ tone ] ~faults
+  in
+  let serial = Pool.with_pool ~size:1 coverage in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ();
+      Progress.disable ();
+      Progress.reset ())
+    (fun () ->
+      Obs.enable ();
+      Progress.enable ();
+      List.iter
+        (fun size ->
+          Obs.reset ();
+          Progress.reset ();
+          let det = Pool.with_pool ~size coverage in
+          if det <> serial then Alcotest.failf "pool %d detection differs" size;
+          let cell name = Progress.value (Progress.cell name) in
+          Alcotest.(check int) "one run" 1 (Obs.counter_total "fault_sim.runs");
+          Alcotest.(check int) "every fault counted" nf (Obs.counter_total "fault_sim.faults");
+          Alcotest.(check (float 0.0)) "judged once per fault" (float_of_int nf)
+            (cell "coverage.judged");
+          Alcotest.(check (float 0.0)) "detected heartbeat"
+            (float_of_int det.Digital_test.detected)
+            (cell "coverage.detected"))
+        capture_pools)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "msoc_netlist"
@@ -871,4 +1126,16 @@ let () =
           Alcotest.test_case "grade_until resume = full regrade" `Quick
             test_atpg_grade_until_resume_matches_full;
           Alcotest.test_case "last useful pattern compacts" `Quick
-            test_atpg_last_useful_pattern_compacts ] ) ]
+            test_atpg_last_useful_pattern_compacts ] );
+      ( "capture",
+        [ Alcotest.test_case "FIR: every fault = single-fault sim" `Quick
+            test_capture_fir_every_fault;
+          Alcotest.test_case "random circuits: every fault" `Quick
+            test_capture_random_every_fault;
+          Alcotest.test_case "unobservable: fresh fault-free copy" `Quick
+            test_capture_unobservable_fresh;
+          Alcotest.test_case "no faults" `Quick test_capture_empty_faults;
+          Alcotest.test_case "run_fold and run_batches" `Quick
+            test_capture_fold_and_batches;
+          Alcotest.test_case "spectral_coverage: one run" `Quick
+            test_capture_spectral_coverage_telemetry ] ) ]

@@ -938,6 +938,47 @@ let test_trace_roundtrip () =
           check_contains (Trace.summary t) [ "serve.request"; "serve.execute" ];
           check_contains (Trace.to_folded t) [ "serve.request" ]))
 
+(* ---- faultsim parameter validation ---- *)
+
+let invalid_faultsim =
+  [ ("tones", Protocol.request ~tones:7 Protocol.Faultsim);
+    ("tones", Protocol.request ~tones:0 Protocol.Faultsim);
+    ("samples", Protocol.request ~samples:32 Protocol.Faultsim);
+    ("taps", Protocol.request ~taps:0 Protocol.Faultsim);
+    ("input_bits", Protocol.request ~input_bits:1 Protocol.Faultsim);
+    ("input_bits", Protocol.request ~input_bits:60 Protocol.Faultsim);
+    ("coeff_bits", Protocol.request ~coeff_bits:1 Protocol.Faultsim);
+    ("coeff_bits", Protocol.request ~coeff_bits:31 Protocol.Faultsim) ]
+
+let test_faultsim_rejects () =
+  let pool = Msoc_util.Pool.get_default () in
+  List.iter
+    (fun (field, req) ->
+      match Verbs.run ~pool req with
+      | _ -> Alcotest.failf "%s accepted" (Protocol.request_to_json req)
+      | exception Failure msg -> check_contains msg [ "faultsim: "; field ])
+    invalid_faultsim
+
+let test_faultsim_limits_accepted () =
+  (* the smallest accepted shape and the widest accepted output bus run *)
+  let pool = Msoc_util.Pool.get_default () in
+  List.iter
+    (fun req -> check_contains (Verbs.run ~pool req) [ "coverage: " ])
+    [ Protocol.request ~taps:1 ~samples:64 ~tones:1 ~input_bits:2 ~coeff_bits:2
+        Protocol.Faultsim;
+      Protocol.request ~taps:3 ~samples:64 ~input_bits:54 ~coeff_bits:8 Protocol.Faultsim ]
+
+let test_faultsim_daemon_error () =
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config ~executors:1 socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  Client.with_connection ~socket_path (fun c ->
+      match Client.request c (Protocol.request ~tones:3 Protocol.Faultsim) with
+      | Ok r ->
+        Alcotest.(check string) "error reply" "error" (Protocol.status_name r.Protocol.status);
+        check_contains r.Protocol.body [ "tones must be 1 or 2" ]
+      | Error e -> Alcotest.failf "faultsim request failed: %s" e)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "msoc_serve"
@@ -974,4 +1015,8 @@ let () =
           Alcotest.test_case "failed execution answers every waiter" `Quick
             test_failed_flight;
           Alcotest.test_case "heavy-class cap admits joiners" `Quick test_heavy_cap_join ]
-        @ qcheck [ prop_single_flight_exactly_once ] ) ]
+        @ qcheck [ prop_single_flight_exactly_once ] );
+      ( "faultsim-params",
+        [ Alcotest.test_case "invalid fields are named" `Quick test_faultsim_rejects;
+          Alcotest.test_case "limits are accepted" `Quick test_faultsim_limits_accepted;
+          Alcotest.test_case "daemon replies error" `Quick test_faultsim_daemon_error ] ) ]
