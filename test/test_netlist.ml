@@ -845,8 +845,7 @@ let random_sequential seed =
   let x = Array.init 4 (fun i -> B.input b (Printf.sprintf "x%d" i)) in
   let nodes = ref (Array.append x [| B.const b false; B.const b true |]) in
   let pick () = !nodes.(Prng.int g (Array.length !nodes)) in
-  let kinds = [| Netlist.And2; Netlist.Or2; Netlist.Nand2; Netlist.Nor2; Netlist.Xor2;
-                 Netlist.Xnor2 |] in
+  let kinds = Netlist.[| And2; Or2; Nand2; Nor2; Xor2; Xnor2 |] in
   for _ = 1 to 60 do
     let node =
       match Prng.int g 6 with
@@ -928,7 +927,9 @@ let test_capture_random_every_fault () =
 
 let test_capture_unobservable_fresh () =
   let circuit, x, dangling = random_sequential 5 in
-  let faults = [| { Fault.node = dangling; stuck = true }; { Fault.node = dangling; stuck = false } |] in
+  let faults =
+    [| { Fault.node = dangling; stuck = true }; { Fault.node = dangling; stuck = false } |]
+  in
   let drive sim cycle = Logic_sim.drive_bus sim x (cycle land 15) in
   List.iter
     (fun size ->
