@@ -601,7 +601,8 @@ let test_coalescing () =
   let socket_path = temp_socket () in
   let handle = Server.start (Server.config ~executors:2 ~cache_size:0 socket_path) in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  let req = Protocol.request ~taps:5 ~samples:256 ~seed:11 Protocol.Faultsim in
+  (* sized so the first of the pair is still in flight when the second lands *)
+  let req = Protocol.request ~taps:13 ~samples:1024 ~seed:11 Protocol.Faultsim in
   let cold =
     Client.with_connection ~socket_path (fun c ->
         match Client.request c req with
@@ -633,7 +634,8 @@ let test_late_joiner () =
   let socket_path = temp_socket () in
   let handle = Server.start (Server.config ~executors:2 ~cache_size:0 socket_path) in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  let req = Protocol.request ~taps:5 ~samples:256 ~seed:23 Protocol.Faultsim in
+  (* sized so the leader is still executing when the joiner arrives *)
+  let req = Protocol.request ~taps:13 ~samples:1024 ~seed:23 Protocol.Faultsim in
   let expected = Pool.with_pool ~size:1 (fun pool -> Verbs.run ~pool req) in
   Client.with_connection ~socket_path (fun probe ->
       let accepted_before = metric_value (scrape probe) "msoc_serve_queue_accepted_total" in
@@ -735,8 +737,9 @@ let test_heavy_cap_join () =
     Server.start (Server.config ~queue_capacity:8 ~executors:1 ~heavy_cap:1 socket_path)
   in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  let first = Protocol.request ~taps:5 ~samples:256 ~seed:31 Protocol.Faultsim in
-  let other = Protocol.request ~taps:5 ~samples:256 ~seed:32 Protocol.Faultsim in
+  (* sized so [first] is still executing when the second batch lands *)
+  let first = Protocol.request ~taps:13 ~samples:1024 ~seed:31 Protocol.Faultsim in
+  let other = Protocol.request ~taps:13 ~samples:1024 ~seed:32 Protocol.Faultsim in
   let first_fd = connect socket_path in
   let fd = connect socket_path in
   Fun.protect ~finally:(fun () -> Unix.close first_fd; Unix.close fd) @@ fun () ->
