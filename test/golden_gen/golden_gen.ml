@@ -5,8 +5,9 @@
    Each capture is fully deterministic: nominal part, fixed engine and
    annealing seeds, coherent stimulus at the standard test level, and the
    canonical schedule parameters (8 restarts, 400 iterations), and the
-   faultsim verb bodies of the sweep shapes — the same strings the golden
-   tests rebuild and compare byte-for-byte. *)
+   verb bodies of the sweep shapes (faultsim, measure, montecarlo and the
+   narrow SOC's schedule) — the same strings the golden tests rebuild and
+   compare byte-for-byte. *)
 module Path = Msoc_analog.Path
 module Context = Msoc_analog.Context
 module Tone = Msoc_dsp.Tone
@@ -39,8 +40,7 @@ let plan_text strategy =
   Format.asprintf "%a@." Plan.pp_summary
     (Plan.synthesize ~strategy (Path.default_receiver ()))
 
-let tester_codes () =
-  let path = Path.default_receiver () in
+let tester_codes path =
   let fs = path.Path.ctx.Context.sim_rate_hz in
   let decim = Path.decimation path in
   let adc_rate = Path.adc_rate_hz path in
@@ -72,6 +72,7 @@ let tester_codes () =
    5/9/13 x samples 256/512) at seed 11 with one and two tones, plus the
    default request.  Bodies are identical at every pool size. *)
 module Protocol = Msoc_serve.Protocol
+module Topology = Msoc_analog.Topology
 
 let faultsim_fixtures =
   ("faultsim_default.txt", Protocol.request Protocol.Faultsim)
@@ -87,6 +88,33 @@ let faultsim_fixtures =
            [ 256; 512 ])
        [ 5; 9; 13 ]
 
+(* The measure, montecarlo and schedule bodies pinned by test_golden:
+   measure for every sweep shape (3 topologies x 2 strategies) on the
+   nominal part (seed 0) and a sampled one (seed 7), montecarlo at 20000
+   trials for both strategies at the canonical seed and seed 3, and the
+   narrow SOC's schedule at annealing seed 7. *)
+let engine_fixtures =
+  List.concat_map
+    (fun topology ->
+      List.concat_map
+        (fun strategy ->
+          List.map
+            (fun seed ->
+              ( Printf.sprintf "measure_%s_%s_s%d.txt" topology strategy seed,
+                Protocol.request ~topology ~strategy ~seed Protocol.Measure ))
+            [ 0; 7 ])
+        [ "nominal"; "adaptive" ])
+    [ "default"; "sigma-delta"; "amp-bypass" ]
+  @ List.concat_map
+      (fun strategy ->
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "montecarlo_%s_s%d.txt" strategy seed,
+              Protocol.request ~strategy ~trials:20_000 ~seed Protocol.Montecarlo ))
+          [ 0; 3 ])
+      [ "nominal"; "adaptive" ]
+  @ [ ("schedule_narrow_s7.txt", Protocol.request ~soc:"narrow" ~seed:7 Protocol.Schedule) ]
+
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   write dir "plan_adaptive.txt" (plan_text Propagate.Adaptive);
@@ -95,7 +123,13 @@ let () =
     (with_audit (fun () ->
          ignore
            (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ()))));
-  write dir "tester_codes.txt" (tester_codes ());
+  write dir "tester_codes.txt" (tester_codes (Path.default_receiver ()));
+  List.iter
+    (fun topology ->
+      write dir
+        (Printf.sprintf "tester_codes_%s.txt" topology)
+        (tester_codes (Option.get (Topology.build topology))))
+    [ "sigma-delta"; "amp-bypass" ];
   (* reference-SOC schedule fixtures, at the canonical annealing defaults *)
   let problem = ref None in
   let soc_audit =
@@ -111,4 +145,4 @@ let () =
   let pool = Msoc_util.Pool.get_default () in
   List.iter
     (fun (name, req) -> write dir name (Msoc_serve.Verbs.run ~pool req))
-    faultsim_fixtures
+    (faultsim_fixtures @ engine_fixtures)

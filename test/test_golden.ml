@@ -1,9 +1,10 @@
 (* Golden-output tests pinning observable behaviour: the default receiver's
    synthesized plan text (both strategies), the adaptive audit trail, the
-   virtual tester's ADC codes, and the reference SOC's schedule table,
-   per-core application-time breakdown, and audit JSON at the canonical
-   annealing parameters, and the faultsim verb bodies of the benchmark's
-   sweep shapes plus the default request.  The receiver fixtures under
+   virtual tester's ADC codes on every topology, and the reference SOC's
+   schedule table, per-core application-time breakdown, and audit JSON at
+   the canonical annealing parameters, the faultsim verb bodies of the
+   benchmark's sweep shapes plus the default request, and the measure,
+   montecarlo and schedule verb bodies of the sweep shapes.  The receiver fixtures under
    golden/ were captured before the stage-graph refactor; byte-identity here is the proof that the
    generic core reproduces the historical five-block receiver exactly.
    Regenerate with: dune exec test/golden_gen/golden_gen.exe -- test/golden *)
@@ -69,8 +70,7 @@ let test_audit_adaptive () =
   check_bytes "audit_adaptive.json" (json ^ "\n")
 
 (* Mirrors test/golden_gen/golden_gen.ml — the fixture regenerator. *)
-let test_tester_codes () =
-  let path = Path.default_receiver () in
+let tester_codes path =
   let fs = path.Path.ctx.Context.sim_rate_hz in
   let decim = Path.decimation path in
   let adc_rate = Path.adc_rate_hz path in
@@ -93,7 +93,16 @@ let test_tester_codes () =
   in
   emit "nominal" (Path.nominal_part path);
   emit "sampled" (Path.sample_part path (Prng.create 7));
-  check_bytes "tester_codes.txt" (Buffer.contents buffer)
+  Buffer.contents buffer
+
+let test_tester_codes () =
+  check_bytes "tester_codes.txt" (tester_codes (Path.default_receiver ()))
+
+let tester_codes_case topology =
+  Alcotest.test_case (Printf.sprintf "tester codes (%s)" topology) `Quick (fun () ->
+      check_bytes
+        (Printf.sprintf "tester_codes_%s.txt" topology)
+        (tester_codes (Option.get (Msoc_analog.Topology.build topology))))
 
 (* ---- reference SOC: schedule, breakdown, audit ---- *)
 
@@ -148,15 +157,54 @@ let faultsim_cases =
           check_bytes fixture (Msoc_serve.Verbs.run ~pool:(Msoc_util.Pool.get_default ()) req)))
     faultsim_fixtures
 
+(* ---- measure, montecarlo and schedule verb bodies: mirrors
+   [engine_fixtures] in golden_gen ---- *)
+
+let engine_fixtures =
+  List.concat_map
+    (fun topology ->
+      List.concat_map
+        (fun strategy ->
+          List.map
+            (fun seed ->
+              ( Printf.sprintf "measure %s %s seed %d" topology strategy seed,
+                Printf.sprintf "measure_%s_%s_s%d.txt" topology strategy seed,
+                Protocol.request ~topology ~strategy ~seed Protocol.Measure ))
+            [ 0; 7 ])
+        [ "nominal"; "adaptive" ])
+    [ "default"; "sigma-delta"; "amp-bypass" ]
+  @ List.concat_map
+      (fun strategy ->
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "montecarlo %s seed %d" strategy seed,
+              Printf.sprintf "montecarlo_%s_s%d.txt" strategy seed,
+              Protocol.request ~strategy ~trials:20_000 ~seed Protocol.Montecarlo ))
+          [ 0; 3 ])
+      [ "nominal"; "adaptive" ]
+  @ [ ( "schedule narrow seed 7",
+        "schedule_narrow_s7.txt",
+        Protocol.request ~soc:"narrow" ~seed:7 Protocol.Schedule ) ]
+
+let engine_cases =
+  List.map
+    (fun (name, fixture, req) ->
+      Alcotest.test_case name `Quick (fun () ->
+          check_bytes fixture (Msoc_serve.Verbs.run ~pool:(Msoc_util.Pool.get_default ()) req)))
+    engine_fixtures
+
 let () =
   Alcotest.run "golden"
     [ ( "default-receiver",
         [ Alcotest.test_case "plan text (adaptive)" `Quick test_plan_adaptive;
           Alcotest.test_case "plan text (nominal-gains)" `Quick test_plan_nominal;
           Alcotest.test_case "audit JSON (adaptive)" `Quick test_audit_adaptive;
-          Alcotest.test_case "virtual-tester ADC codes" `Quick test_tester_codes ] );
+          Alcotest.test_case "virtual-tester ADC codes" `Quick test_tester_codes;
+          tester_codes_case "sigma-delta";
+          tester_codes_case "amp-bypass" ] );
       ( "reference-soc",
         [ Alcotest.test_case "schedule table" `Quick test_soc_schedule;
           Alcotest.test_case "per-core breakdown" `Quick test_soc_breakdown;
           Alcotest.test_case "audit JSON" `Quick test_soc_audit ] );
-      ("faultsim-bodies", faultsim_cases) ]
+      ("faultsim-bodies", faultsim_cases);
+      ("engine-bodies", engine_cases) ]
