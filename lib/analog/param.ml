@@ -18,15 +18,14 @@ let effective_sigma p =
 
 let distribution p = Distribution.normal ~mean:p.nominal ~sigma:(effective_sigma p)
 
-let sample p g =
-  if p.tol = 0.0 then p.nominal
-  else begin
-    let rec draw attempts =
-      let v = Prng.gaussian_scaled g ~mean:p.nominal ~sigma:(p.tol /. 3.0) in
-      if Float.abs (v -. p.nominal) <= p.tol || attempts > 20 then v else draw (attempts + 1)
-    in
-    draw 0
-  end
+(* Truncated at the tolerance by redrawing, at most 22 draws.  A toplevel
+   function rather than a local closure, so a draw allocates only the
+   boxed deviate it returns. *)
+let rec draw p g attempts =
+  let v = Prng.gaussian_scaled g ~mean:p.nominal ~sigma:(p.tol /. 3.0) in
+  if Float.abs (v -. p.nominal) <= p.tol || attempts > 20 then v else draw p g (attempts + 1)
+
+let sample p g = if p.tol = 0.0 then p.nominal else draw p g 0
 
 let sample_defective p g ~severity =
   let base = sample p g in

@@ -72,10 +72,10 @@ let sample_array_pooled ?pool ~trials ~rng ~f () =
     (* Same streams as the pooled path, drawn through one reused scratch
        generator: a million-trial run allocates one seed table instead of
        a million generator records inside the timed region. *)
-    let seeds = Msoc_util.Pool.split_seeds rng trials in
+    let seeds = Msoc_util.Prng.split_seeds rng trials in
     let scratch = Msoc_util.Prng.create 0 in
     Array.init trials (fun i ->
-        Msoc_util.Prng.reseed scratch (Msoc_util.Pool.seed_at seeds i);
+        Msoc_util.Prng.reseed_at scratch seeds i;
         f scratch i)
 
 let estimate_mean_pooled ?pool ~trials ~rng ~f () =

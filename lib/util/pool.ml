@@ -294,31 +294,17 @@ let parallel_floats ?grain pool n f =
    the parent state and [i], never on the pool size or scheduling. *)
 let split_streams rng n = Array.init n (fun _ -> Prng.split rng)
 
-(* Seed-table variant: the stream of task [i] is fully named by one raw
-   64-bit draw (Prng.split_seed), so the fan-out stores n unboxed seeds in
-   a floatarray instead of n generator records, and each worker replays
-   them through one per-slot scratch generator (Prng.reseed).  Stream [i]
-   is bit-identical to [split_streams rng n].(i). *)
-let split_seeds rng n =
-  let seeds = Float.Array.create n in
-  for i = 0 to n - 1 do
-    Float.Array.unsafe_set seeds i (Int64.float_of_bits (Prng.split_seed rng))
-  done;
-  seeds
-
-let seed_at seeds i = Int64.bits_of_float (Float.Array.unsafe_get seeds i)
-
 let parallel_init_rng ?grain pool ~rng n f =
   if n <= 0 then [||]
   else begin
-    let seeds = split_seeds rng n in
+    let seeds = Prng.split_seeds rng n in
     let scratch = Array.init pool.size (fun _ -> Prng.create 0) in
     let results = Array.make n None in
     parallel_iter_grained pool ~n ?grain
       ~f:(fun ~slot ~lo ~hi ->
         let g = scratch.(slot) in
         for i = lo to hi - 1 do
-          Prng.reseed g (seed_at seeds i);
+          Prng.reseed_at g seeds i;
           results.(i) <- Some (f g i)
         done)
       ();
@@ -328,14 +314,14 @@ let parallel_init_rng ?grain pool ~rng n f =
 let parallel_floats_rng ?grain pool ~rng n f =
   if n <= 0 then [||]
   else begin
-    let seeds = split_seeds rng n in
+    let seeds = Prng.split_seeds rng n in
     let scratch = Array.init pool.size (fun _ -> Prng.create 0) in
     let out = Array.make n 0.0 in
     parallel_iter_grained pool ~n ?grain
       ~f:(fun ~slot ~lo ~hi ->
         let g = scratch.(slot) in
         for i = lo to hi - 1 do
-          Prng.reseed g (seed_at seeds i);
+          Prng.reseed_at g seeds i;
           out.(i) <- f g i
         done)
       ();

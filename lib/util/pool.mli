@@ -119,18 +119,10 @@ val split_streams : Prng.t -> int -> Prng.t array
     and [i], never on the pool size, which keeps pooled stochastic code
     bit-reproducible across pool sizes. *)
 
-val split_seeds : Prng.t -> int -> floatarray
-(** Flat variant of {!split_streams}: one unboxed 64-bit seed per stream
-    (stored as a bit pattern), [seed_at] reads them back.  Stream [i]
-    replayed through {!Prng.reseed} is bit-identical to
-    [split_streams g n].(i), but a million-trial fan-out allocates one
-    floatarray instead of a million generator records. *)
-
-val seed_at : floatarray -> int -> int64
-
 val parallel_init_rng : ?grain:int -> t -> rng:Prng.t -> int -> (Prng.t -> int -> 'a) -> 'a array
 (** [parallel_init] where task [i] additionally receives its own pre-split
-    stream ({!split_seeds}).  The generator handed to [f] is a per-worker
+    stream (from {!Prng.split_seeds}, bit-identical to
+    [split_streams rng n].(i)).  The generator handed to [f] is a per-worker
     scratch generator reseeded for each task: it is only valid for the
     duration of the call and must not be retained. *)
 
