@@ -51,7 +51,7 @@ let sample_values (p : params) g : values =
     dnl_lsb = Param.sample p.dnl_lsb g;
     nf_db = Param.sample p.nf_db g }
 
-let lsb_volts p = 2.0 *. p.full_scale_v /. float_of_int (1 lsl p.bits)
+let[@inline] lsb_volts p = 2.0 *. p.full_scale_v /. float_of_int (1 lsl p.bits)
 let code_min p = -(1 lsl (p.bits - 1))
 let code_max p = (1 lsl (p.bits - 1)) - 1
 
@@ -77,29 +77,33 @@ let instance params ctx (v : values) ~rng =
    S-curve puts its distortion at odd harmonics and intermods; the even
    mid-scale bow (the classic second-harmonic-dominant shape the
    code-density test characterises) at even ones. *)
-let inl_error inst x =
+let[@inline] inl_error inst x =
   let fs = inst.params.full_scale_v in
   let peak = inst.inl_lsb *. lsb_volts inst.params in
   match inst.params.inl_shape with
   | S_curve -> peak *. sin (Float.pi *. x /. (2.0 *. fs))
   | Bow -> peak *. sin (Float.pi *. (x +. fs) /. (2.0 *. fs))
 
-let convert inst ~rng x =
+(* One conversion; inlined into [capture], so the sample stays unboxed. *)
+let[@inline] convert inst ~rng x =
   let p = inst.params in
   let perturbed =
     x +. inst.offset_v +. inl_error inst x +. (inst.noise_sigma_v *. Prng.gaussian rng)
   in
   let code = int_of_float (Float.round (perturbed /. lsb_volts p)) in
-  let clamped = max (code_min p) (min (code_max p) code) in
+  let clamped = Int.max (code_min p) (Int.min (code_max p) code) in
   let index = clamped - code_min p in
   let with_dnl = perturbed +. inst.dnl_table.(index) in
   let code = int_of_float (Float.round (with_dnl /. lsb_volts p)) in
-  max (code_min p) (min (code_max p) code)
+  Int.max (code_min p) (Int.min (code_max p) code)
 
 let capture inst ~decimation ~rng samples =
   assert (decimation >= 1);
-  let n = Array.length samples / decimation in
-  Array.init n (fun k -> convert inst ~rng samples.(k * decimation))
+  let codes = Array.make (Array.length samples / decimation) 0 in
+  for k = 0 to Array.length codes - 1 do
+    Array.unsafe_set codes k (convert inst ~rng (Array.unsafe_get samples (k * decimation)))
+  done;
+  codes
 
 let code_to_volts p code = float_of_int code *. lsb_volts p
 

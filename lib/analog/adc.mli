@@ -52,7 +52,8 @@ val convert : instance -> rng:Msoc_util.Prng.t -> float -> int
 
 val capture :
   instance -> decimation:int -> rng:Msoc_util.Prng.t -> float array -> int array
-(** Sample-and-hold every [decimation]-th input sample and convert. *)
+(** The block kernel: sample-and-hold every [decimation]-th input sample
+    and {!convert} it, one noise draw per conversion. *)
 
 val code_to_volts : params -> int -> float
 

@@ -59,8 +59,18 @@ let instance ctx (v : values) =
     dc_offset_v = v.dc_offset_v;
     noise_sigma_v = noise_sigma ctx ~gain_db:v.gain_db ~nf_db:v.nf_db }
 
+(* The block kernel: amplify [buf] in place, one noise draw per sample. *)
+let run inst ~rng buf =
+  Nonlin.run inst.nonlin buf;
+  for i = 0 to Array.length buf - 1 do
+    Array.unsafe_set buf i
+      (Array.unsafe_get buf i +. inst.dc_offset_v +. (inst.noise_sigma_v *. Prng.gaussian rng))
+  done
+
 let process inst ~rng x =
-  Nonlin.apply inst.nonlin x +. inst.dc_offset_v +. (inst.noise_sigma_v *. Prng.gaussian rng)
+  let buf = [| x |] in
+  run inst ~rng buf;
+  buf.(0)
 
 let saturation_input_v inst = Nonlin.saturation_input inst.nonlin
 

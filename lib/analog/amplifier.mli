@@ -31,8 +31,11 @@ val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : Context.t -> values -> instance
 (** Fit the behavioural model (cubic nonlinearity, output noise sigma). *)
 
+val run : instance -> rng:Msoc_util.Prng.t -> float array -> unit
+(** The block kernel: a whole capture (volts), processed in place. *)
+
 val process : instance -> rng:Msoc_util.Prng.t -> float -> float
-(** One input sample (volts) to one output sample. *)
+(** {!run} over one sample. *)
 
 val saturation_input_v : instance -> float
 (** Input peak voltage where the block hard-saturates. *)

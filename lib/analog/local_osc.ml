@@ -55,13 +55,25 @@ let create ctx (v : values) ~rng =
     phase = 0.0;
     wander = 0.0 }
 
+(* The block kernel: fill [out] with the next samples.  Phase and wander
+   live in locals for the block (stores to the mixed record would box)
+   and are written back at the end. *)
+let run o out =
+  let phase = ref o.phase and wander = ref o.wander in
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (cos (!phase +. !wander));
+    phase := Float.rem (!phase +. o.step_rad) Units.two_pi;
+    wander :=
+      (o.rho *. !wander)
+      +. (o.sigma_rad *. sqrt (1.0 -. (o.rho *. o.rho)) *. Prng.gaussian o.rng)
+  done;
+  o.phase <- !phase;
+  o.wander <- !wander
+
 let next o =
-  let sample = cos (o.phase +. o.wander) in
-  o.phase <- Float.rem (o.phase +. o.step_rad) Units.two_pi;
-  o.wander <-
-    (o.rho *. o.wander)
-    +. (o.sigma_rad *. sqrt (1.0 -. (o.rho *. o.rho)) *. Prng.gaussian o.rng);
-  sample
+  let out = [| 0.0 |] in
+  run o out;
+  out.(0)
 
 let freq_interval_hz (p : params) =
   I.add (I.point p.freq_hz) (Param.interval p.freq_error_hz)

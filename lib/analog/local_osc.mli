@@ -29,8 +29,12 @@ val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 
 val create : Context.t -> values -> rng:Msoc_util.Prng.t -> osc
+val run : osc -> float array -> unit
+(** The block kernel: fill the array with the next unit-amplitude LO
+    samples (one simulation step each). *)
+
 val next : osc -> float
-(** Next unit-amplitude LO sample (advances time by one simulation step). *)
+(** {!run} over one sample. *)
 
 val actual_freq_hz : values -> float
 

@@ -72,13 +72,25 @@ let instance ctx ~clock_hz (v : values) =
     spur_phase = 0.0;
     noise_sigma_v = noise_sigma ctx ~gain_db:v.gain_db ~nf_db:v.nf_db }
 
+(* The block kernel, in place: each biquad section filters the whole
+   block in turn (they hold separate state, so this equals passing every
+   sample through both), then gain, clock spur and noise are applied. *)
+let run inst ~rng buf =
+  Array.iter (fun section -> Biquad.run section buf) inst.sections;
+  let spur_phase = ref inst.spur_phase in
+  for i = 0 to Array.length buf - 1 do
+    let filtered = Array.unsafe_get buf i in
+    let spur = inst.spur_vpeak *. sin !spur_phase in
+    spur_phase := Float.rem (!spur_phase +. inst.spur_step_rad) Units.two_pi;
+    Array.unsafe_set buf i
+      ((inst.gain_lin *. filtered) +. spur +. (inst.noise_sigma_v *. Prng.gaussian rng))
+  done;
+  inst.spur_phase <- !spur_phase
+
 let process inst ~rng x =
-  let filtered =
-    Array.fold_left (fun acc section -> Biquad.process_sample section acc) x inst.sections
-  in
-  let spur = inst.spur_vpeak *. sin inst.spur_phase in
-  inst.spur_phase <- Float.rem (inst.spur_phase +. inst.spur_step_rad) Units.two_pi;
-  (inst.gain_lin *. filtered) +. spur +. (inst.noise_sigma_v *. Prng.gaussian rng)
+  let buf = [| x |] in
+  run inst ~rng buf;
+  buf.(0)
 
 let reset inst =
   Array.iter Biquad.reset inst.sections;

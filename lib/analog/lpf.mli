@@ -36,8 +36,12 @@ val default_params : clock_hz:float -> params
 val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : Context.t -> clock_hz:float -> values -> instance
+val run : instance -> rng:Msoc_util.Prng.t -> float array -> unit
+(** The block kernel: filter a capture at the simulation rate in place
+    (state carries across calls until {!reset}). *)
+
 val process : instance -> rng:Msoc_util.Prng.t -> float -> float
-(** Stateful: one input sample to one output sample at the simulation rate. *)
+(** {!run} over one sample. *)
 
 val reset : instance -> unit
 

@@ -63,10 +63,23 @@ let instance ctx (v : values) ~lo_drive_dbm =
     leak_vpeak = Units.vpeak_of_dbm (lo_drive_dbm -. v.lo_isolation_db);
     noise_sigma_v = noise_sigma ctx ~gain_db:v.gain_db ~nf_db:v.nf_db }
 
+(* The block kernel: multiply [buf] in place by the LO samples [lo] (one
+   per input sample, from {!Local_osc.run}), one noise draw per sample. *)
+let run inst ~rng ~lo buf =
+  assert (Array.length lo = Array.length buf);
+  Nonlin.run inst.nonlin buf;
+  for i = 0 to Array.length buf - 1 do
+    let carrier = Array.unsafe_get lo i in
+    Array.unsafe_set buf i
+      ((2.0 *. Array.unsafe_get buf i *. carrier)
+      +. (inst.leak_vpeak *. carrier)
+      +. (inst.noise_sigma_v *. Prng.gaussian rng))
+  done
+
 let process inst ~rng ~lo x =
-  (2.0 *. Nonlin.apply inst.nonlin x *. lo)
-  +. (inst.leak_vpeak *. lo)
-  +. (inst.noise_sigma_v *. Prng.gaussian rng)
+  let buf = [| x |] in
+  run inst ~rng ~lo:[| lo |] buf;
+  buf.(0)
 
 let saturation_input_v inst = Nonlin.saturation_input inst.nonlin
 

@@ -29,10 +29,14 @@ val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : Context.t -> values -> lo_drive_dbm:float -> instance
 
+val run : instance -> rng:Msoc_util.Prng.t -> lo:float array -> float array -> unit
+(** The block kernel, in place: each nonlinearly-processed input sample is
+    multiplied by its LO sample (doubled so the difference-frequency
+    component carries the full conversion gain), plus LO feedthrough and
+    noise.  [lo] holds one LO sample per input sample. *)
+
 val process : instance -> rng:Msoc_util.Prng.t -> lo:float -> float -> float
-(** One sample: the nonlinearly-processed input is multiplied by the LO
-    sample (doubled so the difference-frequency component carries the full
-    conversion gain) plus LO feedthrough and noise. *)
+(** {!run} over one sample. *)
 
 val saturation_input_v : instance -> float
 

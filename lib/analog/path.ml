@@ -213,10 +213,9 @@ let with_value t part ~stage ~name x =
 (* ---- waveform engine ---- *)
 
 type engine = {
-  steps : (float -> float) array;   (* analog stages, path order *)
-  resets : (unit -> unit) array;
+  kernels : (float array -> unit) array;   (* analog stages, path order *)
   capture : float array -> int array;
-  code_to_volts : int -> float;
+  volts_per_code : float;
 }
 
 let engine t part ~seed =
@@ -224,42 +223,47 @@ let engine t part ~seed =
   (* instantiate in stage order: the sequential Prng.split calls inside
      Stage.instantiate reproduce the historical per-block stream layout *)
   let runtimes =
-    let rec go = function
-      | [] -> []
-      | s :: rest ->
-        let values =
-          match List.assoc_opt s.Stage.id part with
-          | Some v -> v
-          | None ->
-            invalid_arg (Printf.sprintf "Path.engine: part has no values for stage %S" s.Stage.id)
-        in
-        let r = Stage.instantiate s ~ctx:t.ctx values ~root in
-        r :: go rest
-    in
-    go t.stages
+    List.map
+      (fun s ->
+        match List.assoc_opt s.Stage.id part with
+        | Some values -> Stage.instantiate s ~ctx:t.ctx values ~root
+        | None ->
+          invalid_arg (Printf.sprintf "Path.engine: part has no values for stage %S" s.Stage.id))
+      t.stages
   in
-  let steps = ref [] and resets = ref [] in
-  let capture = ref None and code_to_volts = ref None in
-  List.iter
-    (function
-      | Stage.Analog { step; reset } ->
-        steps := step :: !steps;
-        resets := reset :: !resets
-      | Stage.Digitize { capture = c; to_volts } ->
-        capture := Some c;
-        code_to_volts := Some to_volts)
-    runtimes;
-  { steps = Array.of_list (List.rev !steps);
-    resets = Array.of_list (List.rev !resets);
-    capture = (match !capture with Some c -> c | None -> fun _ -> [||]);
-    code_to_volts = (match !code_to_volts with Some f -> f | None -> float_of_int) }
+  let kernels = List.filter_map (function Stage.Analog k -> Some k | Stage.Digitize _ -> None) runtimes in
+  match List.rev runtimes with
+  | Stage.Digitize { capture; volts_per_code } :: _ ->
+    { kernels = Array.of_list kernels; capture; volts_per_code }
+  | _ -> invalid_arg "Path.engine: the path has no trailing digitizer"
+
+(* Stage-major: each stage runs over the whole capture before the next
+   one starts.  Every stage owns its PRNG streams and its state, so this
+   draws the same numbers in the same order as passing each sample through
+   the whole chain, and the output is bit-identical. *)
+let run_kernels e buf = Array.iter (fun kernel -> kernel buf) e.kernels
 
 let run_analog e input =
-  Array.iter (fun reset -> reset ()) e.resets;
-  Array.map (fun x -> Array.fold_left (fun acc step -> step acc) x e.steps) input
+  let buf = Array.copy input in
+  run_kernels e buf;
+  buf
 
-let run_codes e input = e.capture (run_analog e input)
-let run_volts e input = Array.map e.code_to_volts (run_codes e input)
+(* The analog waveform only feeds the digitizer, so it lives in per-domain
+   scratch; the codes are a fresh array. *)
+let analog_scratch = Msoc_util.Scratch.create 0.0
+
+let run_codes e input =
+  let n = Array.length input in
+  let buf = Msoc_util.Scratch.get analog_scratch n in
+  Array.blit input 0 buf 0 n;
+  run_kernels e buf;
+  e.capture buf
+
+let run_volts e input =
+  let codes = run_codes e input in
+  let volts = Array.make (Array.length codes) 0.0 in
+  Array.iteri (fun i c -> volts.(i) <- float_of_int c *. e.volts_per_code) codes;
+  volts
 
 (* ---- attribute-domain propagation ---- *)
 

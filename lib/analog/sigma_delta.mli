@@ -35,13 +35,19 @@ val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : params -> Context.t -> values -> rng:Msoc_util.Prng.t -> instance
 val reset : instance -> unit
 
+val modulate_into : instance -> float array -> int array -> unit
+(** The modulator's block kernel: input volts at the simulation rate to
+    the ±1 bitstream, written into the second array (same length).
+    Inputs beyond ~0.85 of full scale overload the loop (as real
+    2nd-order loops do). *)
+
 val modulate : instance -> float array -> int array
-(** Input volts at the simulation rate to the ±1 bitstream.  Inputs beyond
-    ~0.85 of full scale overload the loop (as real 2nd-order loops do). *)
+(** {!modulate_into} a fresh array. *)
 
 val capture :
   instance -> decimation:int -> float array -> int array
-(** Modulate and decimate through a sinc^3 CIC; output codes are signed
+(** Modulate (into per-domain scratch) and decimate through a fresh
+    sinc^3 CIC; output codes are a fresh array, signed
     with full scale ~= [decimation ^ 3 / 4] (the CIC gain on a ±1
     stream divided by the modulator's stable range). *)
 

@@ -262,8 +262,11 @@ let transfer t ~ctx ~adc_rate_hz signal =
 (* ---- waveform engine ---- *)
 
 type runtime =
-  | Analog of { step : float -> float; reset : unit -> unit }
-  | Digitize of { capture : float array -> int array; to_volts : int -> float }
+  | Analog of (float array -> unit)
+  | Digitize of { capture : float array -> int array; volts_per_code : float }
+
+(* Per-domain LO sample buffer of a mixer stage's kernel. *)
+let lo_scratch = Msoc_util.Scratch.create 0.0
 
 (* PRNG streams split off [root] sequentially, in stage order, with the LO
    stream before the mixer's and the ADC build stream before its runtime
@@ -274,43 +277,42 @@ let instantiate t ~ctx values ~root =
   | Amp _, Amp_v v ->
     let rng = Prng.split root in
     let inst = Amplifier.instance ctx v in
-    Analog { step = (fun x -> Amplifier.process inst ~rng x); reset = (fun () -> ()) }
+    Analog (fun buf -> Amplifier.run inst ~rng buf)
   | Mix { lo; _ }, Mix_v { lo_v; mixer_v } ->
     let lo_rng = Prng.split root in
     let mixer_rng = Prng.split root in
     let osc = Local_osc.create ctx lo_v ~rng:lo_rng in
     let inst = Mixer.instance ctx mixer_v ~lo_drive_dbm:lo.Local_osc.drive_dbm in
+    (* the LO phase deliberately persists across captures *)
     Analog
-      { step =
-          (fun x ->
-            let lo = Local_osc.next osc in
-            Mixer.process inst ~rng:mixer_rng ~lo x);
-        (* the LO phase deliberately persists across captures *)
-        reset = (fun () -> ()) }
+      (fun buf ->
+        let lo = Msoc_util.Scratch.get lo_scratch (Array.length buf) in
+        Local_osc.run osc lo;
+        Mixer.run inst ~rng:mixer_rng ~lo buf)
   | Lpf p, Lpf_v v ->
     let rng = Prng.split root in
     let inst = Lpf.instance ctx ~clock_hz:p.Lpf.clock_hz v in
     Analog
-      { step = (fun x -> Lpf.process inst ~rng x); reset = (fun () -> Lpf.reset inst) }
+      (fun buf ->
+        Lpf.reset inst;
+        Lpf.run inst ~rng buf)
   | Adc { adc; decimation }, Adc_v v ->
     let build_rng = Prng.split root in
     let run_rng = Prng.split root in
     let inst = Adc.instance adc ctx v ~rng:build_rng in
     Digitize
       { capture = (fun samples -> Adc.capture inst ~decimation ~rng:run_rng samples);
-        to_volts = Adc.code_to_volts adc }
+        volts_per_code = Adc.lsb_volts adc }
   | Sd_adc { sd; decimation }, Sd_v v ->
     let rng = Prng.split root in
     let inst = Sigma_delta.instance sd ctx v ~rng in
-    let scale =
-      sd.Sigma_delta.full_scale_v
-      /. float_of_int (Sigma_delta.output_full_scale ~decimation)
-    in
     Digitize
       { capture =
           (fun samples ->
             Sigma_delta.reset inst;
             Sigma_delta.capture inst ~decimation samples);
-        to_volts = (fun code -> float_of_int code *. scale) }
+        volts_per_code =
+          sd.Sigma_delta.full_scale_v
+          /. float_of_int (Sigma_delta.output_full_scale ~decimation) }
   | (Amp _ | Mix _ | Lpf _ | Adc _ | Sd_adc _), _ ->
     invalid_arg "Stage.instantiate: values do not match the stage's block"

@@ -101,8 +101,13 @@ val transfer : t -> ctx:Context.t -> adc_rate_hz:float -> Attr.t -> Attr.t
 (** {1 Waveform engine} *)
 
 type runtime =
-  | Analog of { step : float -> float; reset : unit -> unit }
-  | Digitize of { capture : float array -> int array; to_volts : int -> float }
+  | Analog of (float array -> unit)
+      (** The stage's block kernel: runs it over a whole capture, in place.
+          Each call starts from reset filter state (oscillator phase
+          persists across calls). *)
+  | Digitize of { capture : float array -> int array; volts_per_code : float }
+      (** Simulation-rate samples to output-rate codes (a fresh array);
+          a code [c] reads as [float_of_int c *. volts_per_code] volts. *)
 
 val instantiate : t -> ctx:Context.t -> values -> root:Prng.t -> runtime
 (** Build the runtime form of one stage.  PRNG streams are split off

@@ -46,22 +46,12 @@ let snap_if t freq =
    hundreds of captures of the same (large) simulation length, and the
    engine consumes the samples without retaining the array, so each domain
    can synthesize every capture into the same buffer. *)
-let stimulus_key : (int, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let stimulus_scratch n =
-  let tbl = Domain.DLS.get stimulus_key in
-  match Hashtbl.find_opt tbl n with
-  | Some a -> a
-  | None ->
-    let a = Array.make n 0.0 in
-    Hashtbl.add tbl n a;
-    a
+let stimulus_scratch = Msoc_util.Scratch.create 0.0
 
 let raw_capture t components =
   let engine = Path.engine t.path t.part ~seed:t.seed in
   let n_sim = t.capture_samples * Path.decimation t.path in
-  let input = stimulus_scratch n_sim in
+  let input = Msoc_util.Scratch.get stimulus_scratch n_sim in
   Tone.synthesize_into ~sample_rate:t.path.Path.ctx.Context.sim_rate_hz components input;
   Path.run_volts engine input
 

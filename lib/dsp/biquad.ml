@@ -29,16 +29,36 @@ let reset s =
   s.y1 <- 0.0;
   s.y2 <- 0.0
 
-let process_sample s x =
+(* The block kernel: filter [buf] in place.  The delay line lives in
+   locals for the whole block — the state record mixes the coefficient
+   field with the floats, so each store to it would box — and is written
+   back once at the end. *)
+let run s buf =
   let { b0; b1; b2; a1; a2 } = s.coeffs in
-  let y = (b0 *. x) +. (b1 *. s.x1) +. (b2 *. s.x2) -. (a1 *. s.y1) -. (a2 *. s.y2) in
-  s.x2 <- s.x1;
-  s.x1 <- x;
-  s.y2 <- s.y1;
-  s.y1 <- y;
-  y
+  let x1 = ref s.x1 and x2 = ref s.x2 and y1 = ref s.y1 and y2 = ref s.y2 in
+  for i = 0 to Array.length buf - 1 do
+    let x = Array.unsafe_get buf i in
+    let y = (b0 *. x) +. (b1 *. !x1) +. (b2 *. !x2) -. (a1 *. !y1) -. (a2 *. !y2) in
+    x2 := !x1;
+    x1 := x;
+    y2 := !y1;
+    y1 := y;
+    Array.unsafe_set buf i y
+  done;
+  s.x1 <- !x1;
+  s.x2 <- !x2;
+  s.y1 <- !y1;
+  s.y2 <- !y2
 
-let process s xs = Array.map (process_sample s) xs
+let process_sample s x =
+  let buf = [| x |] in
+  run s buf;
+  buf.(0)
+
+let process s xs =
+  let buf = Array.copy xs in
+  run s buf;
+  buf
 
 let magnitude_db c ~sample_rate ~freq =
   let w = Msoc_util.Units.two_pi *. freq /. sample_rate in

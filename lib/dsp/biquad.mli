@@ -17,9 +17,15 @@ val butterworth_lowpass : sample_rate:float -> cutoff:float -> coeffs
 
 val create : coeffs -> state
 val reset : state -> unit
+val run : state -> float array -> unit
+(** The block kernel: filter the array in place (state carries across
+    calls). *)
+
 val process_sample : state -> float -> float
+(** {!run} over one sample. *)
+
 val process : state -> float array -> float array
-(** Stateful block processing (state carries across calls). *)
+(** {!run} over a copy of the input. *)
 
 val magnitude_db : coeffs -> sample_rate:float -> freq:float -> float
 (** Magnitude response at [freq] Hz. *)

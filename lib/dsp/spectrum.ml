@@ -11,27 +11,20 @@ module Obs = Msoc_obs.Obs
    output: a spectrum per fault stream, per Monte-Carlo sample, per
    repeated capture used to allocate (and immediately discard) all three —
    only the one-sided power array below survives the call. *)
-let scratch_key : (int * int, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let scratch ~role n =
-  let tbl = Domain.DLS.get scratch_key in
-  match Hashtbl.find_opt tbl (role, n) with
-  | Some a -> a
-  | None ->
-    let a = Array.make n 0.0 in
-    Hashtbl.add tbl (role, n) a;
-    a
+let windowed_scratch = Msoc_util.Scratch.create 0.0
+let re_scratch = Msoc_util.Scratch.create 0.0
+let im_scratch = Msoc_util.Scratch.create 0.0
 
 let analyze ?(window = Window.Hann) ~sample_rate signal =
   let n = Array.length signal in
   assert (n >= 8);
   Obs.count "spectrum.captures";
   Obs.span "spectrum.analyze" @@ fun () ->
-  let windowed = scratch ~role:0 n in
+  let windowed = Msoc_util.Scratch.get windowed_scratch n in
   Window.apply_into window signal windowed;
   let bin_count = (n / 2) + 1 in
-  let f_re = scratch ~role:1 bin_count and f_im = scratch ~role:2 bin_count in
+  let f_re = Msoc_util.Scratch.get re_scratch bin_count in
+  let f_im = Msoc_util.Scratch.get im_scratch bin_count in
   Fft.rfft_into windowed ~re:f_re ~im:f_im;
   let gain = Window.coherent_gain window *. float_of_int n in
   (* One-sided mean-square power, normalised by the window's equivalent

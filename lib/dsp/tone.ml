@@ -12,16 +12,22 @@ let coherent_frequency ~sample_rate ~samples ~target =
   let k = max 1 (min k ((samples / 2) - 1)) in
   float_of_int k *. sample_rate /. float_of_int samples
 
-let sample ~sample_rate ~t components =
+(* One point of the waveform: the components summed in list order from
+   0.0.  Inlined into [synthesize_into], where the accumulator and the
+   point stay unboxed; the virtual tester's golden fixtures pin this
+   arithmetic bit for bit. *)
+let[@inline] sample ~sample_rate ~t components =
   let time = float_of_int t /. sample_rate in
-  List.fold_left
-    (fun acc { freq; amplitude; phase } ->
-      acc +. (amplitude *. sin ((two_pi *. freq *. time) +. phase)))
-    0.0 components
+  let acc = ref 0.0 and rest = ref components and more = ref true in
+  while !more do
+    match !rest with
+    | { freq; amplitude; phase } :: tail ->
+      acc := !acc +. (amplitude *. sin ((two_pi *. freq *. time) +. phase));
+      rest := tail
+    | [] -> more := false
+  done;
+  !acc
 
-(* [synthesize_into] evaluates points with exactly the same arithmetic as
-   [sample] (the virtual tester's golden fixtures pin the codes bit-for-bit)
-   — it only removes the per-capture output allocation. *)
 let synthesize_into ~sample_rate components out =
   for t = 0 to Array.length out - 1 do
     Array.unsafe_set out t (sample ~sample_rate ~t components)

@@ -455,6 +455,39 @@ let test_path_waveform_end_to_end () =
   (* -27 dBm + 28 dB path gain ~ +1 dBm at the ADC *)
   Alcotest.check (Alcotest.float 1.5) "path gain realised" (-1.0) p_if
 
+(* The engine keeps its intermediate waveform in per-domain scratch: the
+   input must come back untouched, the arrays it returns must survive a
+   later capture on the same domain, and two engines from the same part
+   and seed must agree even when their captures interleave. *)
+let test_path_engine_aliasing () =
+  List.iter
+    (fun name ->
+      let path = Option.get (Topology.build name) in
+      let part = Path.sample_part path (Prng.create 3) in
+      let fs = path.Path.ctx.Context.sim_rate_hz in
+      let n_sim = 512 * Path.decimation path in
+      let tone freq =
+        Tone.synthesize ~sample_rate:fs ~samples:n_sim
+          [ Tone.component ~freq ~amplitude:(Units.vpeak_of_dbm (-27.0)) () ]
+      in
+      let input = tone 1.1e6 and other = tone 1.07e6 in
+      let pristine = Array.copy input in
+      let e1 = Path.engine path part ~seed:9 and e2 = Path.engine path part ~seed:9 in
+      let codes = Path.run_codes e1 input in
+      let volts = Path.run_volts e1 input in
+      let analog = Path.run_analog e1 input in
+      let saved = (Array.copy codes, Array.copy volts, Array.copy analog) in
+      Alcotest.(check bool) (name ^ ": input unchanged") true (input = pristine);
+      let codes2 = Path.run_codes e2 input in
+      ignore (Path.run_codes (Path.engine path part ~seed:4) other);
+      ignore (Path.run_volts e2 other);
+      ignore (Path.run_analog e2 other);
+      Alcotest.(check bool) (name ^ ": input unchanged after captures") true (input = pristine);
+      Alcotest.(check bool) (name ^ ": results survive later captures") true
+        (saved = (codes, volts, analog));
+      Alcotest.(check (array int)) (name ^ ": same part and seed, same codes") codes codes2)
+    Topology.names
+
 let test_path_attribute_vs_waveform_consistency () =
   (* The attribute-domain SNR prediction must bracket the measured one. *)
   let path = Path.default_receiver () in
@@ -594,7 +627,8 @@ let () =
           Alcotest.test_case "waveform end-to-end" `Quick test_path_waveform_end_to_end;
           Alcotest.test_case "attribute vs waveform" `Quick
             test_path_attribute_vs_waveform_consistency;
-          Alcotest.test_case "sampled parts" `Quick test_sampled_parts_differ_but_within_tolerance ] );
+          Alcotest.test_case "sampled parts" `Quick test_sampled_parts_differ_but_within_tolerance;
+          Alcotest.test_case "engine aliasing" `Quick test_path_engine_aliasing ] );
       ( "topology",
         [ Alcotest.test_case "registry builds" `Quick test_topology_registry_builds;
           Alcotest.test_case "registry sorted" `Quick test_topology_registry_sorted;
