@@ -45,6 +45,11 @@ val decode : problem -> int array -> result
 
     @raise Invalid_argument if the problem has a prerequisite cycle. *)
 
+val makespan : problem -> int array -> int
+(** [makespan problem rank] is [(decode problem rank).makespan], computed
+    by the same decoder without building the placements; the annealing
+    walks call this entry with scratch arrays reused across their moves. *)
+
 val greedy : problem -> result
 (** Longest-processing-time baseline: descending cycles, ties by index. *)
 

@@ -202,6 +202,92 @@ let prop_annealed_never_worse =
       Schedule.check problem annealed = Ok ()
       && annealed.Schedule.makespan <= greedy.Schedule.makespan)
 
+(* ---- decoder oracle ---- *)
+
+(* The list-based decoder that produced the pinned schedules, kept
+   verbatim as the oracle for Schedule.decode. *)
+let reference_decode (problem : Schedule.problem) rank : Schedule.result =
+  let open Schedule in
+  let tests = problem.tests in
+  let n = Array.length tests in
+  let start = Array.make n (-1) in
+  let finish = Array.make n max_int in
+  let started = Array.make n false in
+  let running = ref [] in
+  let completed = ref 0 in
+  let t = ref 0 in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> compare rank.(a) rank.(b)) order;
+  while !completed < n do
+    (* retire everything finishing at the current time *)
+    running := List.filter (fun i -> finish.(i) > !t) !running;
+    let bus = ref 0 and power = ref 0.0 in
+    List.iter
+      (fun i ->
+        bus := !bus + tests.(i).bus_bits;
+        power := !power +. tests.(i).power_mw)
+      !running;
+    let core_busy c =
+      List.exists (fun i -> String.equal tests.(i).core c) !running
+    in
+    (* start every eligible test that fits, in rank order *)
+    Array.iter
+      (fun i ->
+        if
+          (not started.(i))
+          && List.for_all (fun p -> started.(p) && finish.(p) <= !t) tests.(i).prereqs
+          && (not (core_busy tests.(i).core))
+          && !bus + tests.(i).bus_bits <= problem.soc.Soc.bus_bits
+          && !power +. tests.(i).power_mw <= problem.soc.Soc.power_budget_mw +. 1e-9
+        then begin
+          started.(i) <- true;
+          start.(i) <- !t;
+          finish.(i) <- !t + tests.(i).cycles;
+          bus := !bus + tests.(i).bus_bits;
+          power := !power +. tests.(i).power_mw;
+          running := i :: !running
+        end)
+      order;
+    match !running with
+    | [] ->
+      if !completed < n then
+        invalid_arg "Schedule.decode: stuck (prerequisite cycle or infeasible test)"
+    | l ->
+      let tmin = List.fold_left (fun acc i -> Int.min acc finish.(i)) max_int l in
+      t := tmin;
+      List.iter (fun i -> if finish.(i) = tmin then incr completed) l
+  done;
+  let makespan = Array.fold_left (fun acc f -> Int.max acc f) 0 finish in
+  { makespan; placements = Array.init n (fun i -> { start = start.(i); finish = finish.(i) }) }
+
+let registered_problems =
+  lazy (List.map (fun name -> Schedule.problem_of_soc (Option.get (Soc.find name))) Soc.names)
+
+(* Ranks are noise folded into [0, spread): spread 1 ties every test,
+   small spreads give many ties, large ones mostly distinct ranks. *)
+let decodes_like_reference problem noise spread =
+  let n = Array.length problem.Schedule.tests in
+  let rank = Array.init n (fun i -> abs noise.(i mod Array.length noise) mod spread) in
+  let expected = reference_decode problem rank in
+  let actual = Schedule.decode problem rank in
+  actual.Schedule.makespan = expected.Schedule.makespan
+  && actual.Schedule.placements = expected.Schedule.placements
+  && Schedule.makespan problem rank = actual.Schedule.makespan
+
+let arb_noise = QCheck.array_of_size (QCheck.Gen.return 64) QCheck.int
+
+let prop_decoder_oracle_registered =
+  QCheck.Test.make ~name:"decode = list decoder on registered SOCs" ~count:200
+    (QCheck.triple (QCheck.int_bound 1) (QCheck.int_range 1 100) arb_noise)
+    (fun (which, spread, noise) ->
+      let problem = List.nth (Lazy.force registered_problems) which in
+      decodes_like_reference problem noise spread)
+
+let prop_decoder_oracle_random =
+  QCheck.Test.make ~name:"decode = list decoder on random problems" ~count:200
+    (QCheck.triple arb_problem (QCheck.int_range 1 20) arb_noise)
+    (fun (problem, spread, noise) -> decodes_like_reference problem noise spread)
+
 (* ---- pool bit-identity ---- *)
 
 let test_pool_bit_identity () =
@@ -236,4 +322,5 @@ let () =
       ( "schedule-properties",
         qcheck
           [ prop_random_ranking_decodes; prop_greedy_feasible;
-            prop_annealed_never_worse ] ) ]
+            prop_annealed_never_worse; prop_decoder_oracle_registered;
+            prop_decoder_oracle_random ] ) ]
