@@ -66,12 +66,15 @@ type hist = {
 (* Per-domain sinks                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Retained until the sink is reset, so kept small: the path string is
+   shared by every event on it ([intern]) and the times are native ints
+   (monotonic ns fit 62 bits), which a record stores unboxed. *)
 type event = {
   ev_path : string;  (* "outer/inner" span nesting path *)
   ev_name : string;
   ev_args : (string * string) list;
-  ev_start : int64;
-  ev_dur : int64;
+  ev_start : int;
+  ev_dur : int;
 }
 
 (* Worker-timeline track: a fixed-capacity ring of scheduler events
@@ -108,6 +111,7 @@ type sink = {
   counters : (string, int ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   mutable stack : string list;  (* open span paths, innermost first *)
+  paths : (string, string) Hashtbl.t;  (* one copy of every span path *)
   (* timeline ring; arrays allocated on first use, [tl_next] counts every
      write so [tl_next - capacity] entries have been overwritten *)
   mutable tl_kind : int array;
@@ -134,7 +138,7 @@ let events_cap_of_env = function
     | Some _ | None -> default_max_events)
 
 let max_events = events_cap_of_env (Sys.getenv_opt "MSOC_OBS_MAX_EVENTS")
-let dummy_event = { ev_path = ""; ev_name = ""; ev_args = []; ev_start = 0L; ev_dur = 0L }
+let dummy_event = { ev_path = ""; ev_name = ""; ev_args = []; ev_start = 0; ev_dur = 0 }
 
 (* Sinks outlive their domains on purpose: a [Pool.with_pool] run shuts
    its workers down before the caller exports, and the workers' telemetry
@@ -151,6 +155,7 @@ let new_sink () =
       counters = Hashtbl.create 16;
       hists = Hashtbl.create 16;
       stack = [];
+      paths = Hashtbl.create 16;
       tl_kind = [||];
       tl_slot = [||];
       tl_ts = [||];
@@ -242,6 +247,19 @@ let observe name v =
 
 let observe_ns name ns = observe name (Int64.to_float ns)
 
+(* The path of a span named [name] opened under the innermost open span,
+   shared with every earlier span on the same path. *)
+let span_path s name =
+  match s.stack with
+  | [] -> name
+  | parent :: _ ->
+    let path = parent ^ "/" ^ name in
+    (match Hashtbl.find_opt s.paths path with
+    | Some shared -> shared
+    | None ->
+      Hashtbl.add s.paths path path;
+      path)
+
 type timer =
   | Inactive
   | Running of { path : string; name : string; args : (string * string) list; t0 : int64 }
@@ -250,7 +268,7 @@ let start_span ?(args = []) name =
   if not (Atomic.get enabled_flag) then Inactive
   else begin
     let s = my_sink () in
-    let path = match s.stack with [] -> name | parent :: _ -> parent ^ "/" ^ name in
+    let path = span_path s name in
     s.stack <- path :: s.stack;
     Running { path; name; args; t0 = now_ns () }
   end
@@ -272,8 +290,8 @@ let stop_span ?args t =
         { ev_path = r.path;
           ev_name = r.name;
           ev_args = args;
-          ev_start = r.t0;
-          ev_dur = Int64.sub t1 r.t0 }
+          ev_start = Int64.to_int r.t0;
+          ev_dur = Int64.to_int (Int64.sub t1 r.t0) }
     end
 
 (* A completed span with caller-supplied timestamps, nested under
@@ -286,13 +304,12 @@ let stop_span ?args t =
 let record_span ?(args = []) name ~start_ns ~stop_ns =
   if Atomic.get enabled_flag then begin
     let s = my_sink () in
-    let path = match s.stack with [] -> name | parent :: _ -> parent ^ "/" ^ name in
     record_event s
-      { ev_path = path;
+      { ev_path = span_path s name;
         ev_name = name;
         ev_args = args;
-        ev_start = start_ns;
-        ev_dur = (let d = Int64.sub stop_ns start_ns in if Int64.compare d 0L < 0 then 0L else d) }
+        ev_start = Int64.to_int start_ns;
+        ev_dur = Int.max 0 (Int64.to_int (Int64.sub stop_ns start_ns)) }
   end
 
 let span ?args name f =
@@ -442,7 +459,7 @@ let snapshot_spans ?(scope = All_domains) () =
             Hashtbl.add table ev.ev_path r;
             r
         in
-        durs := Int64.to_float ev.ev_dur :: !durs
+        durs := float_of_int ev.ev_dur :: !durs
       done)
     (sinks_of_scope scope);
   Hashtbl.fold
@@ -545,7 +562,7 @@ let snapshot_tracks () =
           let ev = s.events.(i) in
           if String.equal ev.ev_name "pool.chunk" then begin
             incr chunks;
-            busy := !busy +. Int64.to_float ev.ev_dur
+            busy := !busy +. float_of_int ev.ev_dur
           end
         done;
         Some
@@ -711,8 +728,8 @@ let chrome_trace ?(scope = All_domains) () =
             ("ph", Json.str "X");
             ("pid", Json.int 1);
             ("tid", Json.int s.domain_id);
-            ("ts", Json.num (us_of ev.ev_start));
-            ("dur", Json.num (Int64.to_float ev.ev_dur /. 1e3));
+            ("ts", Json.num (us_of (Int64.of_int ev.ev_start)));
+            ("dur", Json.num (float_of_int ev.ev_dur /. 1e3));
             ("args", Json.args_obj (("path", ev.ev_path) :: ev.ev_args)) ]
       done)
     (sinks_of_scope scope);
@@ -742,8 +759,8 @@ let jsonl ?(scope = All_domains) () =
             ("track", Json.int s.domain_id);
             ("name", Json.str ev.ev_name);
             ("path", Json.str ev.ev_path);
-            ("ts_ns", Json.int64 (Int64.sub ev.ev_start base));
-            ("dur_ns", Json.int64 ev.ev_dur);
+            ("ts_ns", Json.int64 (Int64.sub (Int64.of_int ev.ev_start) base));
+            ("dur_ns", Json.int64 (Int64.of_int ev.ev_dur));
             ("args", Json.args_obj ev.ev_args) ]
       done;
       (* per-slot worker timeline (scheduler begin/end/steal/idle marks
